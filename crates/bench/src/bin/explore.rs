@@ -16,7 +16,7 @@
 
 use qa_bench::{render_table, scale, write_json, Scale};
 use qa_cluster::{
-    explore_random, explore_systematic, run_seed, run_trail, ExploreConfig, ExploreMechanism,
+    explore_random, explore_systematic, run_seed, run_trail, ClusterMechanism, ExploreConfig,
     ExploreReport, ScheduleOutcome,
 };
 use qa_simnet::json::Json;
@@ -29,7 +29,7 @@ fn base_seed() -> u64 {
         .unwrap_or(2007)
 }
 
-fn config_for(mechanism: ExploreMechanism) -> ExploreConfig {
+fn config_for(mechanism: ClusterMechanism) -> ExploreConfig {
     let mut cfg = ExploreConfig::small();
     cfg.mechanism = mechanism;
     cfg
@@ -106,7 +106,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let mut ok = true;
-            for mech in [ExploreMechanism::QaNt, ExploreMechanism::Greedy] {
+            for mech in [ClusterMechanism::QaNt, ClusterMechanism::Greedy] {
                 ok &= print_outcome(&run_seed(&config_for(mech), seed));
             }
             return if ok {
@@ -128,7 +128,7 @@ fn main() -> ExitCode {
             // A trail replays against the mechanism it was recorded
             // under; QA-NT is the default protocol under test.
             let outcome = run_trail(
-                &config_for(ExploreMechanism::QaNt),
+                &config_for(ClusterMechanism::QaNt),
                 indices,
                 "of recorded trail",
             );
@@ -154,10 +154,10 @@ fn main() -> ExitCode {
     let mut all_passed = true;
     let mut total_schedules = 0u64;
 
-    for mech in [ExploreMechanism::QaNt, ExploreMechanism::Greedy] {
+    for mech in [ClusterMechanism::QaNt, ClusterMechanism::Greedy] {
         let mech_name = match mech {
-            ExploreMechanism::QaNt => "qant",
-            ExploreMechanism::Greedy => "greedy",
+            ClusterMechanism::QaNt => "qant",
+            ClusterMechanism::Greedy => "greedy",
         };
         let cfg = config_for(mech);
 

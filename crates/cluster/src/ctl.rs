@@ -24,7 +24,7 @@
 use crate::driver::run_workload;
 use crate::node::PricesReply;
 use crate::qad::FedConfig;
-use crate::transport::{NodeStats, TcpTransport, Transport};
+use crate::transport::{NodeStats, Reply, ReplyTag, ReplyTo, TcpTransport, Transport};
 use crate::ClusterError;
 use qa_simnet::json::Json;
 use qa_simnet::telemetry::{MetricsRegistry, Telemetry};
@@ -205,17 +205,42 @@ fn read_announcements(
         .map_err(|_| format!("no announcement within {SPAWN_TIMEOUT:?}"))?
 }
 
+/// Asks every node at once through `ask` and gathers the replies that
+/// arrive within `timeout`; `None` marks a node that never answered.
+fn gather(
+    num_nodes: usize,
+    timeout: Duration,
+    ask: impl Fn(usize, ReplyTo) -> Result<(), ClusterError>,
+) -> Vec<Option<Reply>> {
+    let (tx, rx) = channel();
+    for n in 0..num_nodes {
+        let tag = ReplyTag {
+            id: n as u64,
+            generation: 0,
+        };
+        // A failed send drops the handle, which reports the loss.
+        let _ = ask(n, ReplyTo::new(tag, tx.clone()));
+    }
+    drop(tx);
+    let mut replies = vec![None; num_nodes];
+    let deadline = Instant::now() + timeout;
+    while let Ok(d) = rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+        replies[d.tag.id as usize] = d.reply;
+    }
+    replies
+}
+
 /// Collects every node's price vector over the transport.
 pub fn collect_prices(transport: &dyn Transport, timeout: Duration) -> Vec<Option<PricesReply>> {
-    (0..transport.num_nodes())
-        .map(|n| {
-            let (tx, rx) = channel();
-            if transport.dump_prices(n, tx).is_err() {
-                return None;
-            }
-            rx.recv_timeout(timeout).ok()
-        })
-        .collect()
+    gather(transport.num_nodes(), timeout, |n, reply| {
+        transport.dump_prices(n, reply)
+    })
+    .into_iter()
+    .map(|r| match r {
+        Some(Reply::Prices(p)) => Some(p),
+        _ => None,
+    })
+    .collect()
 }
 
 fn prices_json(prices: &[Option<PricesReply>]) -> Json {
@@ -238,15 +263,15 @@ fn prices_json(prices: &[Option<PricesReply>]) -> Json {
 /// `None` marks a node that never answered within `timeout` (dead, or
 /// speaking a pre-v2 protocol without the stats scrape).
 pub fn collect_stats(transport: &TcpTransport, timeout: Duration) -> Vec<Option<NodeStats>> {
-    (0..transport.num_nodes())
-        .map(|n| {
-            let (tx, rx) = channel();
-            if transport.request_stats(n, tx).is_err() {
-                return None;
-            }
-            rx.recv_timeout(timeout).ok()
-        })
-        .collect()
+    gather(transport.num_nodes(), timeout, |n, reply| {
+        transport.request_stats(n, reply)
+    })
+    .into_iter()
+    .map(|r| match r {
+        Some(Reply::Stats(s)) => Some(s),
+        _ => None,
+    })
+    .collect()
 }
 
 /// Builds the fleet stats report: per-node digests plus the merged
@@ -438,7 +463,8 @@ fn driver_telemetry(trace: &Option<String>) -> Result<Telemetry, String> {
 
 /// Spawns the federation, runs the configured workload over TCP, prints a
 /// JSON report (Figure-7 aggregates plus per-node post-run price
-/// vectors), and tears everything down.
+/// vectors), and tears everything down. Fails after the report when a
+/// query failed or the fleet did not shut down cleanly.
 fn cmd_run(args: CtlArgs) -> Result<(), String> {
     let config_path = args.config.ok_or("run requires --config FILE")?;
     let fed = FedConfig::load(&config_path)?;
@@ -477,7 +503,24 @@ fn cmd_run(args: CtlArgs) -> Result<(), String> {
         ("clean_shutdown", Json::Bool(clean)),
     ]);
     println!("{}", report.pretty());
-    Ok(())
+    run_verdict(result.failed, clean)
+}
+
+/// `qa-ctl run`'s exit verdict: the report prints either way, but failed
+/// queries or an unclean fleet shutdown fail the command.
+fn run_verdict(failed: usize, clean: bool) -> Result<(), String> {
+    let mut problems = Vec::new();
+    if failed > 0 {
+        problems.push(format!("{failed} queries failed"));
+    }
+    if !clean {
+        problems.push("federation did not shut down cleanly".to_string());
+    }
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(problems.join("; "))
+    }
 }
 
 /// Spawns the federation, dumps each node's current price vector without
@@ -609,5 +652,23 @@ pub fn ctl_main(args: &[String]) -> i32 {
             eprintln!("qa-ctl: {e}");
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_fails_on_failed_queries_or_an_unclean_shutdown() {
+        assert_eq!(run_verdict(0, true), Ok(()));
+        assert_eq!(run_verdict(3, true), Err("3 queries failed".to_string()));
+        assert_eq!(
+            run_verdict(0, false),
+            Err("federation did not shut down cleanly".to_string())
+        );
+        assert!(run_verdict(1, false)
+            .unwrap_err()
+            .contains("1 queries failed"));
     }
 }

@@ -12,6 +12,26 @@
 //!
 //! These are exactly Figure 7's two bars per mechanism.
 //!
+//! ## One sans-IO protocol machine
+//!
+//! The per-query protocol (poll → collect under a deadline → assign →
+//! execute → crash re-entry) lives in [`Driver`], a state machine with no
+//! threads, clocks or channels. Time, node replies and timer expiries come
+//! in as inputs; sends, timers and each final [`QueryOutcome`] go out as
+//! [`Action`]s. Two runners step it:
+//!
+//! * [`run_workload`], on the caller's thread: one event loop that reads
+//!   a single reply channel until the next due time — a query issue, a
+//!   reply deadline, a backoff, [`EXEC_TIMEOUT`], a QA-NT period tick or a
+//!   scheduled crash. It spawns no thread.
+//! * [`crate::explore::run_schedule`], the model checker, which fires the
+//!   same inputs as schedule-chosen actions.
+//!
+//! Every request carries a [`ReplyTo`] tagged with `(query, generation)`.
+//! Each phase change bumps the query's generation, so a late reply or a
+//! stale timer from an earlier round is recognised and ignored, and every
+//! re-allocated execution carries a fresh generation.
+//!
 //! ## Resilience
 //!
 //! The driver never assumes the fleet is healthy. Negotiation replies are
@@ -27,21 +47,22 @@
 //! and execute paths never panic.
 
 use crate::error::ClusterError;
-use crate::node::{spawn_node_with_faults, EstimateReply, ExecReply, NodeHandle, OfferReply};
+use crate::node::{spawn_node_with_faults, ExecReply, NodeHandle};
 use crate::setup::ClusterSpec;
-use crate::transport::{ChannelTransport, Transport};
+use crate::transport::{ChannelTransport, Delivery, Reply, ReplyTag, ReplyTo, Transport};
 use qa_core::QantConfig;
-use qa_simnet::telemetry::{HistogramHandle, Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{HistogramHandle, Telemetry, TelemetryEvent, WelfordHandle};
 use qa_simnet::{DetRng, FaultPlan, SimDuration};
 use qa_workload::ClassId;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Hard ceiling on one query execution (a node may legitimately be slow,
 /// but past this the run must move on).
-const EXEC_TIMEOUT: Duration = Duration::from_secs(60);
+pub const EXEC_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Which mechanism drives allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,6 +229,8 @@ struct DriverMetrics {
     total_ms: HistogramHandle,
     /// One negotiation round trip: fan-out to last collected reply (ms).
     rpc_ms: HistogramHandle,
+    /// The same round in µs, as the `cluster.poll_round` span.
+    poll_round_us: WelfordHandle,
 }
 
 impl DriverMetrics {
@@ -217,51 +240,8 @@ impl DriverMetrics {
             assign_ms: r.histogram("driver.assign_ms"),
             total_ms: r.histogram("driver.total_ms"),
             rpc_ms: r.histogram("driver.rpc_ms"),
+            poll_round_us: r.welford("span.cluster.poll_round_us"),
         })
-    }
-}
-
-/// State shared by every per-query protocol thread.
-struct Shared {
-    transport: Arc<dyn Transport>,
-    mechanism: ClusterMechanism,
-    period: Duration,
-    reply_timeout: Duration,
-    max_retries: u32,
-    /// Nodes known to be gone; maintained cooperatively by whoever
-    /// observes a disconnected channel (and by the crash injector).
-    dead: Vec<AtomicBool>,
-    /// Driver-side telemetry (query lifecycle, crashes, lost sends).
-    telemetry: Telemetry,
-    /// Registry-backed latency histograms (`None` without a registry).
-    metrics: Option<DriverMetrics>,
-    /// Wall-clock origin for trace timestamps.
-    epoch: Instant,
-}
-
-impl Shared {
-    fn mark_dead(&self, node: usize) {
-        self.dead[node].store(true, Ordering::Relaxed);
-    }
-
-    /// Stamps the telemetry clock with wall-clock-µs-since-start and
-    /// returns the handle, so call sites read
-    /// `shared.telemetry().emit(..)`. One atomic store when enabled, one
-    /// `Option` branch when not.
-    fn telemetry(&self) -> &Telemetry {
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .set_now_us(self.epoch.elapsed().as_micros() as u64);
-        }
-        &self.telemetry
-    }
-
-    fn live_candidates(&self, capable: &[usize]) -> Vec<usize> {
-        capable
-            .iter()
-            .copied()
-            .filter(|&n| !self.dead[n].load(Ordering::Relaxed))
-            .collect()
     }
 }
 
@@ -315,10 +295,9 @@ pub fn spawn_fleet(spec: &ClusterSpec, config: &ClusterConfig, epoch: Instant) -
 /// workload, tears the fleet down, returns measurements.
 ///
 /// # Errors
-/// Returns [`ClusterError::NoCandidates`] when the spec has no evaluable
-/// query class. Per-query environmental failures (crashes, losses,
-/// timeouts) do *not* fail the experiment — they are recorded in the
-/// outcomes.
+/// As [`run_workload`]. Per-query environmental failures (crashes,
+/// losses, timeouts) do *not* fail the experiment — they are recorded in
+/// the outcomes.
 pub fn run_experiment(
     spec: &ClusterSpec,
     config: &ClusterConfig,
@@ -336,82 +315,30 @@ pub fn run_experiment(
 /// dump post-run price vectors) and owns the final
 /// [`Transport::shutdown`].
 ///
+/// Runs on the caller's thread and spawns none: one event loop steps the
+/// [`Driver`], issuing queries at absolute due times (the running sum of
+/// the pre-generated gaps) and reading every reply from one channel.
+///
 /// # Errors
-/// Returns [`ClusterError::NoCandidates`] when the spec has no evaluable
-/// query class; per-query environmental failures are recorded in the
-/// outcomes instead.
+/// Returns [`ClusterError::InvalidConfig`] for a config it cannot run (a
+/// zero mean inter-arrival or market period), and
+/// [`ClusterError::NoCandidates`] when the spec has no evaluable query
+/// class; per-query environmental failures are recorded in the outcomes
+/// instead.
 pub fn run_workload(
     spec: &ClusterSpec,
     config: &ClusterConfig,
     transport: Arc<dyn Transport>,
 ) -> Result<ExperimentResult, ClusterError> {
-    let epoch = Instant::now();
-    let num_nodes = transport.num_nodes();
-    let shared = Arc::new(Shared {
-        transport: Arc::clone(&transport),
-        mechanism: config.mechanism,
-        period: config.period,
-        reply_timeout: config.reply_timeout,
-        max_retries: config.max_retries,
-        dead: (0..num_nodes).map(|_| AtomicBool::new(false)).collect(),
-        telemetry: config.telemetry.clone(),
-        metrics: DriverMetrics::resolve(&config.telemetry),
-        epoch,
-    });
-
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // QA-NT period ticker.
-    let ticker = {
-        let stop = Arc::clone(&stop);
-        let shared = Arc::clone(&shared);
-        let period = config.period;
-        let ticking = matches!(config.mechanism, ClusterMechanism::QaNt);
-        std::thread::spawn(move || {
-            let mut index = 0u64;
-            while ticking && !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(period);
-                index += 1;
-                shared
-                    .telemetry()
-                    .emit(|| TelemetryEvent::PeriodStarted { index });
-                for n in 0..shared.transport.num_nodes() {
-                    let _ = shared.transport.period_tick(n);
-                }
-            }
-        })
-    };
-
-    // Crash injector: kills scheduled nodes through the transport —
-    // shutting the mailbox in-process, terminating the remote process
-    // over TCP — exactly like a process death: in-flight replies are lost
-    // and every later send fails. Polls the stop flag so a schedule
-    // reaching past the run's end cannot block teardown.
-    let crash_injector = {
-        let stop = Arc::clone(&stop);
-        let shared = Arc::clone(&shared);
-        let mut crashes = config.crashes.clone();
-        crashes.sort_by_key(|&(_, delay)| delay);
-        std::thread::spawn(move || {
-            for (node, delay) in crashes {
-                while epoch.elapsed() < delay {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                if node < shared.transport.num_nodes() {
-                    shared.mark_dead(node);
-                    shared
-                        .telemetry()
-                        .emit(|| TelemetryEvent::NodeCrashed { node: node as u32 });
-                    shared.transport.shutdown_node(node);
-                }
-            }
-        })
-    };
-
-    // Pre-generate the workload: (delay-from-previous, class, sql).
+    if config.mean_interarrival.is_zero() {
+        return Err(ClusterError::InvalidConfig(
+            "mean_interarrival must be positive",
+        ));
+    }
+    if config.period.is_zero() {
+        return Err(ClusterError::InvalidConfig("period must be positive"));
+    }
+    // Pre-generate the workload: (due time, class, sql).
     let mut rng = DetRng::seed_from_u64(config.seed).derive("cluster-workload");
     let usable: Vec<&crate::setup::QueryClassSpec> = spec
         .classes
@@ -419,44 +346,90 @@ pub fn run_workload(
         .filter(|c| !spec.capable_nodes(c.id).is_empty())
         .collect();
     if usable.is_empty() {
-        stop.store(true, Ordering::Relaxed);
-        let _ = ticker.join();
-        let _ = crash_injector.join();
         return Err(ClusterError::NoCandidates);
     }
     let mean_ms = config.mean_interarrival.as_secs_f64() * 1e3;
-    let workload: Vec<(Duration, ClassId, String)> = (0..config.num_queries)
+    let mut due = Duration::ZERO;
+    let mut workload: Vec<(Duration, ClassId, String)> = (0..config.num_queries)
         .map(|_| {
-            let gap = Duration::from_secs_f64(rng.float_in(0.5 * mean_ms, 1.5 * mean_ms) / 1e3);
+            due += Duration::from_secs_f64(rng.float_in(0.5 * mean_ms, 1.5 * mean_ms) / 1e3);
             let class = usable[rng.index(usable.len())];
-            (gap, class.id, class.sample(&mut rng))
+            (due, class.id, class.sample(&mut rng))
         })
         .collect();
+    let num_nodes = transport.num_nodes();
+    let mut crashes: Vec<(Duration, usize)> = config
+        .crashes
+        .iter()
+        .filter(|&&(node, _)| node < num_nodes)
+        .map(|&(node, delay)| (delay, node))
+        .collect();
+    crashes.sort();
 
-    // Issue queries on schedule; each runs its protocol on its own thread.
-    let (done_tx, done_rx) = channel::<QueryOutcome>();
-    let mut issue_threads = Vec::new();
-    for (i, (gap, class, sql)) in workload.into_iter().enumerate() {
-        std::thread::sleep(gap);
-        let capable = spec.capable_nodes(class);
-        let done = done_tx.clone();
-        let shared = Arc::clone(&shared);
-        issue_threads.push(std::thread::spawn(move || {
-            let outcome = run_one(i, class, sql, &capable, &shared);
-            let _ = done.send(outcome);
-        }));
-    }
-    drop(done_tx);
-
-    let mut outcomes: Vec<QueryOutcome> = done_rx.iter().collect();
-    for t in issue_threads {
-        let _ = t.join();
+    let mut driver = Driver::new(config, num_nodes);
+    let ticking = config.mechanism == ClusterMechanism::QaNt;
+    let (replies, inbox) = channel::<Delivery>();
+    let mut timers: BinaryHeap<Reverse<(Duration, ReplyTag)>> = BinaryHeap::new();
+    let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(workload.len());
+    let (mut issued, mut crashed, mut next_tick) = (0, 0, config.period);
+    let epoch = Instant::now();
+    loop {
+        perform(
+            &mut driver,
+            transport.as_ref(),
+            &replies,
+            |action| match action {
+                Action::Timer { tag, at } => timers.push(Reverse((at, tag))),
+                Action::Done(outcome) => outcomes.push(outcome),
+                _ => {}
+            },
+        );
+        if outcomes.len() == workload.len() {
+            break;
+        }
+        let now = epoch.elapsed();
+        config.telemetry.set_now_us(now.as_micros() as u64);
+        let crash_at = crashes.get(crashed).map(|c| c.0);
+        let issue_at = workload.get(issued).map(|w| w.0);
+        let tick_at = ticking.then_some(next_tick);
+        let timer_at = timers.peek().map(|t| t.0 .0);
+        let is_due = |at: Option<Duration>| at.is_some_and(|at| at <= now);
+        if is_due(crash_at) {
+            // Crash injection kills the node through the transport —
+            // shutting the mailbox in-process, terminating the remote
+            // process over TCP — exactly like a process death.
+            let node = crashes[crashed].1;
+            crashed += 1;
+            driver.crash(node);
+            transport.shutdown_node(node);
+        } else if is_due(issue_at) {
+            let class = workload[issued].1;
+            let sql = std::mem::take(&mut workload[issued].2);
+            driver.issue(class, sql, spec.capable_nodes(class), now);
+            issued += 1;
+        } else if is_due(tick_at) {
+            driver.period_tick();
+            next_tick = now + config.period;
+        } else if let Ok(delivery) = inbox.try_recv() {
+            // Replies before timers: one that arrived before its deadline
+            // counts.
+            driver.on_delivery(delivery, now);
+        } else if is_due(timer_at) {
+            if let Some(Reverse((_, tag))) = timers.pop() {
+                driver.on_timer(tag, now);
+            }
+        } else {
+            let next = [crash_at, issue_at, tick_at, timer_at]
+                .into_iter()
+                .flatten()
+                .min();
+            let wait = next.map_or(EXEC_TIMEOUT, |at| at.saturating_sub(now));
+            if let Ok(delivery) = inbox.recv_timeout(wait) {
+                driver.on_delivery(delivery, epoch.elapsed());
+            }
+        }
     }
     outcomes.sort_by_key(|o| o.query);
-
-    stop.store(true, Ordering::Relaxed);
-    let _ = ticker.join();
-    let _ = crash_injector.join();
 
     let ok: Vec<&QueryOutcome> = outcomes.iter().filter(|o| o.error.is_none()).collect();
     let mean = |f: fn(&QueryOutcome) -> f64| {
@@ -481,233 +454,430 @@ pub fn run_workload(
     })
 }
 
-/// Collects replies under the shared deadline. Stops early once all `sent`
-/// reply senders have answered or disconnected; missing replies are simply
-/// absent from the result (loss tolerance).
-fn collect_replies<T>(rx: &Receiver<T>, sent: usize, deadline: Instant) -> Vec<T> {
-    let mut got = Vec::with_capacity(sent);
-    while got.len() < sent {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        match rx.recv_timeout(remaining) {
-            Ok(r) => got.push(r),
-            // Timeout: the deadline expired with replies outstanding.
-            // Disconnected: every outstanding reply sender was dropped
-            // (replies fault-dropped, or the node died). Either way the
-            // client proceeds with what it has.
-            Err(_) => break,
-        }
-    }
-    got
-}
-
-/// One allocation attempt round: polls the live candidates, returns the
-/// chosen node if any reply produced one. Send failures mark nodes dead.
-fn poll_round(
-    shared: &Shared,
-    capable: &[usize],
-    class: ClassId,
-    sql: &str,
-) -> Result<Option<usize>, ClusterError> {
-    let live = shared.live_candidates(capable);
-    if live.is_empty() {
-        return Err(ClusterError::NoCandidates);
-    }
-    let _span = shared.telemetry.span("cluster.poll_round");
-    let started = Instant::now();
-    let deadline = started + shared.reply_timeout;
-    let rpc_observed = |r| {
-        if let Some(m) = &shared.metrics {
-            m.rpc_ms.observe(started.elapsed().as_secs_f64() * 1e3);
-        }
-        r
-    };
-    match shared.mechanism {
-        ClusterMechanism::Greedy => {
-            let (tx, rx) = channel::<EstimateReply>();
-            let mut sent = 0;
-            for &n in &live {
-                if shared.transport.estimate(n, sql, tx.clone()).is_err() {
-                    shared.mark_dead(n);
-                    shared.telemetry().emit(|| TelemetryEvent::MessageDropped {
-                        node: n as u32,
-                        context: "estimate_send".to_string(),
-                    });
-                } else {
-                    sent += 1;
-                }
-            }
-            drop(tx);
-            let mut best: Option<(f64, usize)> = None;
-            for r in collect_replies(&rx, sent, deadline) {
-                let better = match best {
-                    None => true,
-                    Some((b, _)) => r.exec_ms < b,
+/// Carries out the driver's sends and period ticks over `transport`,
+/// handing every reply handle `replies` and reporting failed sends back to
+/// the driver. Timers and outcomes go to `rest`.
+pub fn perform(
+    driver: &mut Driver,
+    transport: &dyn Transport,
+    replies: &Sender<Delivery>,
+    mut rest: impl FnMut(Action),
+) {
+    while let Some(action) = driver.actions.pop_front() {
+        let (node, sent, context) = match action {
+            Action::Send { node, request, tag } => {
+                let query = &driver.queries[tag.id as usize];
+                let (class, sql) = (query.class, query.sql.as_str());
+                let reply = ReplyTo::new(tag, replies.clone());
+                let (sent, context) = match request {
+                    Request::Estimate => (transport.estimate(node, class, sql, reply), "estimate"),
+                    Request::Offer => (transport.call_for_offers(node, class, sql, reply), "offer"),
+                    Request::Execute => (transport.execute(node, class, sql, reply), "execute"),
                 };
-                if better {
-                    best = Some((r.exec_ms, r.node));
-                }
+                (node, sent, context)
             }
-            rpc_observed(Ok(best.map(|(_, n)| n)))
-        }
-        ClusterMechanism::QaNt => {
-            let (tx, rx) = channel::<OfferReply>();
-            let mut sent = 0;
-            for &n in &live {
-                if shared
-                    .transport
-                    .call_for_offers(n, class, sql, tx.clone())
-                    .is_err()
-                {
-                    shared.mark_dead(n);
-                    shared.telemetry().emit(|| TelemetryEvent::MessageDropped {
-                        node: n as u32,
-                        context: "offer_send".to_string(),
-                    });
-                } else {
-                    sent += 1;
-                }
-            }
-            drop(tx);
-            let mut best: Option<(f64, usize)> = None;
-            for r in collect_replies(&rx, sent, deadline) {
-                if !r.offered {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((b, _)) => r.completion_ms < b,
-                };
-                if better {
-                    best = Some((r.completion_ms, r.node));
-                }
-            }
-            rpc_observed(Ok(best.map(|(_, n)| n)))
-        }
-    }
-}
-
-/// Runs the allocation protocol + execution for one query. Environmental
-/// failures are retried within the budget and otherwise recorded in the
-/// outcome; this function never panics.
-fn run_one(
-    idx: usize,
-    class: ClassId,
-    sql: String,
-    capable: &[usize],
-    shared: &Shared,
-) -> QueryOutcome {
-    let issued = Instant::now();
-    let fail = |err: ClusterError, retries: u32| {
-        shared.telemetry().emit(|| TelemetryEvent::QueryUnserved {
-            query: idx as u64,
-            class: class.0,
-            retries,
-        });
-        QueryOutcome {
-            query: idx,
-            class: class.0,
-            node: None,
-            assign_ms: issued.elapsed().as_secs_f64() * 1e3,
-            total_ms: issued.elapsed().as_secs_f64() * 1e3,
-            retries,
-            error: Some(err.to_string()),
-        }
-    };
-
-    let mut retries = 0u32;
-    loop {
-        // Allocation: poll, and on an empty round (all rejections, or all
-        // replies lost) back off and resubmit — §2.2's next-period retry,
-        // with exponential growth so a partitioned network is not spammed.
-        let chosen = loop {
-            match poll_round(shared, capable, class, &sql) {
-                Err(e) => return fail(e, retries),
-                Ok(Some(n)) => break n,
-                Ok(None) => {
-                    retries += 1;
-                    if retries > shared.max_retries {
-                        return fail(ClusterError::RetriesExhausted { retries }, retries);
-                    }
-                    std::thread::sleep(backoff(shared.period, retries - 1));
-                }
+            Action::Tick { node } => (node, transport.period_tick(node), "tick"),
+            other => {
+                rest(other);
+                continue;
             }
         };
-        let assign_ms = issued.elapsed().as_secs_f64() * 1e3;
-        if let Some(m) = &shared.metrics {
-            m.assign_ms.observe(assign_ms);
+        if sent.is_err() {
+            driver.on_send_failed(node, context);
         }
-        shared.telemetry().emit(|| TelemetryEvent::QueryAssigned {
-            query: idx as u64,
-            class: class.0,
-            node: chosen as u32,
+    }
+}
+
+/// A request the driver sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request {
+    /// Greedy's estimate poll.
+    Estimate,
+    /// QA-NT's call-for-offers.
+    Offer,
+    /// The assignment.
+    Execute,
+}
+
+/// What the [`Driver`] asks its runner to do.
+#[derive(Debug)]
+pub enum Action {
+    /// Send `request` for query `tag.id` to `node`, with a reply handle
+    /// tagged `tag`.
+    Send {
+        /// The addressee.
+        node: usize,
+        /// What to ask.
+        request: Request,
+        /// The reply handle's tag.
+        tag: ReplyTag,
+    },
+    /// Announce a QA-NT period boundary to `node`.
+    Tick {
+        /// The addressee.
+        node: usize,
+    },
+    /// Call [`Driver::on_timer`] with `tag` at `at` (a timer the query
+    /// has moved past is ignored).
+    Timer {
+        /// The query and generation the timer belongs to.
+        tag: ReplyTag,
+        /// Due time, on the runner's clock.
+        at: Duration,
+    },
+    /// A query finished.
+    Done(QueryOutcome),
+}
+
+/// Where one query is in the protocol.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// A poll round is out: `expect` reply handles went out at `started`,
+    /// `got` have reported, and `best` is the best `(cost, node)` bid.
+    Polling {
+        started: Duration,
+        expect: usize,
+        got: usize,
+        best: Option<(f64, usize)>,
+    },
+    /// Waiting out a backoff before the next poll round.
+    Backoff,
+    /// The assignment is out at `node`.
+    Executing { node: usize },
+    /// Finished; `Some(node)` when it executed there.
+    Done(Option<usize>),
+}
+
+/// One query's protocol state.
+struct Query {
+    class: ClassId,
+    sql: String,
+    capable: Vec<usize>,
+    issued: Duration,
+    /// Bumped on every phase change; replies and timers carry it.
+    generation: u32,
+    retries: u32,
+    assign_ms: f64,
+    phase: Phase,
+}
+
+/// The sans-IO cluster driver: every query's protocol state plus the
+/// fleet's dead-node set. See the module docs.
+pub struct Driver {
+    mechanism: ClusterMechanism,
+    period: Duration,
+    reply_timeout: Duration,
+    max_retries: u32,
+    telemetry: Telemetry,
+    metrics: Option<DriverMetrics>,
+    /// Nodes written off: a failed send, a lost execution or a crash.
+    dead: Vec<bool>,
+    queries: Vec<Query>,
+    periods: u64,
+    actions: VecDeque<Action>,
+}
+
+impl Driver {
+    /// A driver for `num_nodes` nodes under `config`'s mechanism, market
+    /// period, reply deadline, retry budget and telemetry.
+    pub fn new(config: &ClusterConfig, num_nodes: usize) -> Driver {
+        Driver {
+            mechanism: config.mechanism,
+            period: config.period,
+            reply_timeout: config.reply_timeout,
+            max_retries: config.max_retries,
+            telemetry: config.telemetry.clone(),
+            metrics: DriverMetrics::resolve(&config.telemetry),
+            dead: vec![false; num_nodes],
+            queries: Vec::new(),
+            periods: 0,
+            actions: VecDeque::new(),
+        }
+    }
+
+    /// Issues a query at `now` and opens its first poll round over the
+    /// live nodes among `capable`. Returns the query's index.
+    pub fn issue(
+        &mut self,
+        class: ClassId,
+        sql: String,
+        capable: Vec<usize>,
+        now: Duration,
+    ) -> usize {
+        let q = self.queries.len();
+        self.queries.push(Query {
+            class,
+            sql,
+            capable,
+            issued: now,
+            generation: 0,
+            retries: 0,
+            assign_ms: 0.0,
+            phase: Phase::Backoff,
+        });
+        self.poll(q, now);
+        q
+    }
+
+    /// Feeds one reply handle's report. A report for an earlier
+    /// generation is stale and ignored.
+    pub fn on_delivery(&mut self, delivery: Delivery, now: Duration) {
+        let Some(q) = self.current(delivery.tag) else {
+            return;
+        };
+        match &mut self.queries[q].phase {
+            Phase::Polling {
+                expect, got, best, ..
+            } => {
+                *got += 1;
+                let bid = match delivery.reply {
+                    Some(Reply::Estimate(r)) if self.mechanism == ClusterMechanism::Greedy => {
+                        Some((r.exec_ms, r.node))
+                    }
+                    Some(Reply::Offer(r))
+                        if self.mechanism == ClusterMechanism::QaNt && r.offered =>
+                    {
+                        Some((r.completion_ms, r.node))
+                    }
+                    _ => None,
+                };
+                // Cheapest bid wins; ties go to the lowest node.
+                if let Some(bid) = bid {
+                    if best.is_none_or(|b| bid < b) {
+                        *best = Some(bid);
+                    }
+                }
+                if *got == *expect {
+                    self.end_round(q, now);
+                }
+            }
+            &mut Phase::Executing { node } => match delivery.reply {
+                Some(Reply::Exec(reply)) => self.complete(q, node, reply, now),
+                // The assignee crashed with the query (or lost its
+                // reply): write it off and re-allocate.
+                _ => {
+                    self.dead[node] = true;
+                    self.retry(q, now, Some(node));
+                }
+            },
+            Phase::Backoff | Phase::Done(_) => {}
+        }
+    }
+
+    /// Fires the timer tagged `tag`: a reply deadline, a backoff or
+    /// [`EXEC_TIMEOUT`]. A timer the query has moved past is ignored.
+    pub fn on_timer(&mut self, tag: ReplyTag, now: Duration) {
+        let Some(q) = self.current(tag) else {
+            return;
+        };
+        match self.queries[q].phase {
+            Phase::Polling { .. } => self.end_round(q, now),
+            Phase::Backoff => self.poll(q, now),
+            Phase::Executing { node } => self.fail(
+                q,
+                now,
+                ClusterError::Timeout {
+                    phase: "execute",
+                    node,
+                },
+            ),
+            Phase::Done(_) => {}
+        }
+    }
+
+    /// A `request` send to `node` failed: the peer is gone. (Its reply
+    /// handle reports the loss on its own.)
+    pub fn on_send_failed(&mut self, node: usize, request: &'static str) {
+        self.dead[node] = true;
+        self.telemetry.emit(|| TelemetryEvent::MessageDropped {
+            node: node as u32,
+            context: format!("{request}_send"),
+        });
+    }
+
+    /// A QA-NT period boundary: ticks every live node.
+    pub fn period_tick(&mut self) {
+        self.periods += 1;
+        let index = self.periods;
+        self.telemetry
+            .emit(|| TelemetryEvent::PeriodStarted { index });
+        let live = (0..self.dead.len()).filter(|&n| !self.dead[n]);
+        self.actions.extend(live.map(|node| Action::Tick { node }));
+    }
+
+    /// Crash injection: writes `node` off. The runner kills it.
+    pub fn crash(&mut self, node: usize) {
+        self.dead[node] = true;
+        self.telemetry
+            .emit(|| TelemetryEvent::NodeCrashed { node: node as u32 });
+    }
+
+    /// How query `q` ended: `None` while it runs, `Some(None)` when it
+    /// failed, and `Some(Some((node, generation)))` for the execution it
+    /// committed.
+    pub fn placement(&self, q: usize) -> Option<Option<(usize, u32)>> {
+        let query = self.queries.get(q)?;
+        match query.phase {
+            Phase::Done(node) => Some(node.map(|n| (n, query.generation))),
+            _ => None,
+        }
+    }
+
+    /// The query `tag` addresses, if `tag` is its current generation.
+    fn current(&self, tag: ReplyTag) -> Option<usize> {
+        let q = tag.id as usize;
+        let query = self.queries.get(q)?;
+        (query.generation == tag.generation).then_some(q)
+    }
+
+    /// Moves query `q` into `phase` under a fresh generation, arming its
+    /// timer for `at`.
+    fn enter(&mut self, q: usize, phase: Phase, at: Duration) -> ReplyTag {
+        let query = &mut self.queries[q];
+        query.generation += 1;
+        query.phase = phase;
+        let tag = ReplyTag {
+            id: q as u64,
+            generation: query.generation,
+        };
+        self.actions.push_back(Action::Timer { tag, at });
+        tag
+    }
+
+    /// Opens a poll round over the live capable nodes.
+    fn poll(&mut self, q: usize, now: Duration) {
+        let live: Vec<usize> = self.queries[q]
+            .capable
+            .iter()
+            .copied()
+            .filter(|&n| !self.dead[n])
+            .collect();
+        if live.is_empty() {
+            return self.fail(q, now, ClusterError::NoCandidates);
+        }
+        let phase = Phase::Polling {
+            started: now,
+            expect: live.len(),
+            got: 0,
+            best: None,
+        };
+        let tag = self.enter(q, phase, now + self.reply_timeout);
+        let request = match self.mechanism {
+            ClusterMechanism::Greedy => Request::Estimate,
+            ClusterMechanism::QaNt => Request::Offer,
+        };
+        self.actions.extend(
+            live.into_iter()
+                .map(|node| Action::Send { node, request, tag }),
+        );
+    }
+
+    /// Closes a poll round (every handle reported, or the deadline hit):
+    /// assign to the best bid, or back off and resubmit — §2.2's
+    /// next-period retry.
+    fn end_round(&mut self, q: usize, now: Duration) {
+        let Phase::Polling { started, best, .. } = self.queries[q].phase else {
+            return;
+        };
+        if let Some(m) = &self.metrics {
+            let round = now.saturating_sub(started).as_secs_f64();
+            m.rpc_ms.observe(round * 1e3);
+            m.poll_round_us.observe(round * 1e6);
+        }
+        match best {
+            Some((_, node)) => self.assign(q, node, now),
+            None => self.retry(q, now, None),
+        }
+    }
+
+    /// Spends one retry on a backoff — capped exponential, so a
+    /// partitioned network is not spammed — or fails the query once the
+    /// budget is gone. `lost_at` names the node an execution was lost on.
+    fn retry(&mut self, q: usize, now: Duration, lost_at: Option<usize>) {
+        let query = &mut self.queries[q];
+        query.retries += 1;
+        let retries = query.retries;
+        if retries > self.max_retries {
+            let err = match lost_at {
+                Some(node) => ClusterError::ChannelClosed {
+                    phase: "execute",
+                    node,
+                },
+                None => ClusterError::RetriesExhausted { retries },
+            };
+            return self.fail(q, now, err);
+        }
+        self.enter(q, Phase::Backoff, now + backoff(self.period, retries - 1));
+    }
+
+    fn assign(&mut self, q: usize, node: usize, now: Duration) {
+        let query = &mut self.queries[q];
+        query.assign_ms = now.saturating_sub(query.issued).as_secs_f64() * 1e3;
+        if let Some(m) = &self.metrics {
+            m.assign_ms.observe(query.assign_ms);
+        }
+        let (class, retries) = (query.class.0, query.retries);
+        self.telemetry.emit(|| TelemetryEvent::QueryAssigned {
+            query: q as u64,
+            class,
+            node: node as u32,
             retries,
         });
+        let tag = self.enter(q, Phase::Executing { node }, now + EXEC_TIMEOUT);
+        self.actions.push_back(Action::Send {
+            node,
+            request: Request::Execute,
+            tag,
+        });
+    }
 
-        // Execution. A disconnect means the chosen node crashed with our
-        // query: drop it from the candidate set and re-allocate (the
-        // cluster analogue of the simulator's crash re-entry).
-        let (tx, rx) = channel::<ExecReply>();
-        if shared.transport.execute(chosen, class, &sql, tx).is_err() {
-            shared.mark_dead(chosen);
-            shared.telemetry().emit(|| TelemetryEvent::MessageDropped {
-                node: chosen as u32,
-                context: "execute_send".to_string(),
-            });
-            retries += 1;
-            if retries > shared.max_retries {
-                return fail(ClusterError::RetriesExhausted { retries }, retries);
-            }
-            continue;
+    fn complete(&mut self, q: usize, node: usize, reply: ExecReply, now: Duration) {
+        let query = &self.queries[q];
+        let total_ms = now.saturating_sub(query.issued).as_secs_f64() * 1e3;
+        if let Some(m) = &self.metrics {
+            m.total_ms.observe(total_ms);
         }
-        match rx.recv_timeout(EXEC_TIMEOUT) {
-            Ok(r) => {
-                let total_ms = issued.elapsed().as_secs_f64() * 1e3;
-                if let Some(m) = &shared.metrics {
-                    m.total_ms.observe(total_ms);
-                }
-                shared.telemetry().emit(|| TelemetryEvent::QueryCompleted {
-                    query: idx as u64,
-                    class: class.0,
-                    node: chosen as u32,
-                    response_ms: total_ms,
-                });
-                return QueryOutcome {
-                    query: idx,
-                    class: class.0,
-                    node: Some(chosen),
-                    assign_ms,
-                    total_ms,
-                    retries,
-                    error: r.error,
-                };
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                shared.mark_dead(chosen);
-                retries += 1;
-                if retries > shared.max_retries {
-                    return fail(
-                        ClusterError::ChannelClosed {
-                            phase: "execute",
-                            node: chosen,
-                        },
-                        retries,
-                    );
-                }
-                std::thread::sleep(backoff(shared.period, retries - 1));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                return fail(
-                    ClusterError::Timeout {
-                        phase: "execute",
-                        node: chosen,
-                    },
-                    retries,
-                )
-            }
-        }
+        let class = query.class.0;
+        self.telemetry.emit(|| TelemetryEvent::QueryCompleted {
+            query: q as u64,
+            class,
+            node: node as u32,
+            response_ms: total_ms,
+        });
+        self.finish(q, Some(node), query.assign_ms, total_ms, reply.error);
+    }
+
+    fn fail(&mut self, q: usize, now: Duration, err: ClusterError) {
+        let query = &self.queries[q];
+        let elapsed_ms = now.saturating_sub(query.issued).as_secs_f64() * 1e3;
+        let (class, retries) = (query.class.0, query.retries);
+        self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
+            query: q as u64,
+            class,
+            retries,
+        });
+        self.finish(q, None, elapsed_ms, elapsed_ms, Some(err.to_string()));
+    }
+
+    fn finish(
+        &mut self,
+        q: usize,
+        node: Option<usize>,
+        assign_ms: f64,
+        total_ms: f64,
+        error: Option<String>,
+    ) {
+        let query = &mut self.queries[q];
+        query.phase = Phase::Done(node);
+        self.actions.push_back(Action::Done(QueryOutcome {
+            query: q,
+            class: query.class.0,
+            node,
+            assign_ms,
+            total_ms,
+            retries: query.retries,
+            error,
+        }));
     }
 }
 
@@ -905,5 +1075,171 @@ mod tests {
             Err(ClusterError::NoCandidates) => {}
             other => panic!("expected NoCandidates, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn configs_it_cannot_run_are_typed_errors() {
+        let s = spec();
+        let fleet: Arc<dyn Transport> = Arc::new(ChannelTransport::new(Vec::new()));
+        let mut cfg = ClusterConfig::ci_scale(ClusterMechanism::QaNt, 23);
+        cfg.mean_interarrival = Duration::ZERO;
+        match run_workload(&s, &cfg, Arc::clone(&fleet)) {
+            Err(ClusterError::InvalidConfig(msg)) => assert!(msg.contains("mean_interarrival")),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        cfg.mean_interarrival = Duration::from_millis(5);
+        cfg.period = Duration::ZERO;
+        assert!(matches!(
+            run_workload(&s, &cfg, fleet),
+            Err(ClusterError::InvalidConfig(_))
+        ));
+    }
+
+    // The sans-IO machine on its own: inputs in, actions out, with no
+    // threads, clocks or sleeps.
+
+    fn machine() -> Driver {
+        Driver::new(&ClusterConfig::ci_scale(ClusterMechanism::QaNt, 1), 2)
+    }
+
+    fn drain(driver: &mut Driver) -> Vec<Action> {
+        std::iter::from_fn(|| driver.actions.pop_front()).collect()
+    }
+
+    fn sends(actions: &[Action]) -> Vec<(usize, Request, ReplyTag)> {
+        actions
+            .iter()
+            .filter_map(|a| match *a {
+                Action::Send { node, request, tag } => Some((node, request, tag)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn timer(actions: &[Action]) -> Option<(ReplyTag, Duration)> {
+        actions.iter().find_map(|a| match *a {
+            Action::Timer { tag, at } => Some((tag, at)),
+            _ => None,
+        })
+    }
+
+    fn offer(tag: ReplyTag, node: usize) -> Delivery {
+        let reply = crate::node::OfferReply {
+            node,
+            offered: true,
+            completion_ms: 1.0 + node as f64,
+        };
+        Delivery {
+            tag,
+            reply: Some(Reply::Offer(reply)),
+        }
+    }
+
+    fn executed(tag: ReplyTag, node: usize) -> Delivery {
+        let reply = ExecReply {
+            node,
+            rows: 1,
+            exec_ms: 1.0,
+            error: None,
+        };
+        Delivery {
+            tag,
+            reply: Some(Reply::Exec(reply)),
+        }
+    }
+
+    const T: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn every_reallocation_bumps_the_generation() {
+        let mut d = machine();
+        d.issue(ClassId(0), String::new(), vec![0, 1], T);
+        let poll = sends(&drain(&mut d));
+        assert_eq!(poll.len(), 2, "one call-for-offers per capable node");
+        let g1 = poll[0].2;
+        d.on_delivery(offer(g1, 1), T);
+        d.on_delivery(offer(g1, 0), T);
+        // Both bids in: the cheaper node 0 gets the execution.
+        let exec = sends(&drain(&mut d));
+        assert_eq!(exec.len(), 1);
+        let (node, request, g2) = exec[0];
+        assert_eq!((node, request), (0, Request::Execute));
+        assert!(g2.generation > g1.generation);
+
+        // The execution is lost: node 0 is written off and the query
+        // backs off under a fresh generation.
+        d.on_delivery(
+            Delivery {
+                tag: g2,
+                reply: None,
+            },
+            T,
+        );
+        let (g3, _) = timer(&drain(&mut d)).expect("backoff armed");
+        assert!(g3.generation > g2.generation);
+        d.on_timer(g3, 2 * T);
+        let poll = sends(&drain(&mut d));
+        assert_eq!(poll.len(), 1, "the dead node is not polled again");
+        let g4 = poll[0].2;
+        assert!(g4.generation > g3.generation);
+        d.on_delivery(offer(g4, 1), 2 * T);
+        let exec = sends(&drain(&mut d));
+        let (node, _, g5) = exec[0];
+        assert_eq!(node, 1);
+        assert!(g5.generation > g4.generation, "re-allocation bumps");
+
+        d.on_delivery(executed(g5, 1), 3 * T);
+        assert_eq!(d.placement(0), Some(Some((1, g5.generation))));
+        match drain(&mut d).as_slice() {
+            [Action::Done(o)] => {
+                assert_eq!((o.node, o.retries), (Some(1), 1));
+                assert!(o.error.is_none());
+            }
+            other => panic!("expected one outcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stale_generation_replies_and_timers_are_ignored() {
+        let mut d = machine();
+        d.issue(ClassId(0), String::new(), vec![0, 1], T);
+        let actions = drain(&mut d);
+        let g1 = sends(&actions)[0].2;
+        let (deadline, _) = timer(&actions).expect("reply deadline armed");
+        d.on_delivery(offer(g1, 0), T);
+        d.on_delivery(offer(g1, 1), T);
+        let g2 = sends(&drain(&mut d))[0].2;
+
+        // A late reply, a late execution result and the old deadline,
+        // all from the finished poll round.
+        d.on_delivery(offer(g1, 1), 2 * T);
+        d.on_delivery(executed(g1, 0), 2 * T);
+        d.on_timer(deadline, 2 * T);
+        assert!(drain(&mut d).is_empty(), "stale inputs produce no actions");
+        assert_eq!(d.placement(0), None, "the query still waits on {g2:?}");
+
+        d.on_delivery(executed(g2, 0), 3 * T);
+        assert_eq!(d.placement(0), Some(Some((0, g2.generation))));
+    }
+
+    #[test]
+    fn a_dropped_reply_handle_ends_the_poll_round_before_its_deadline() {
+        let mut d = machine();
+        let (tx, rx) = channel();
+        d.issue(ClassId(0), String::new(), vec![0, 1], T);
+        let actions = drain(&mut d);
+        let (_, deadline) = timer(&actions).expect("reply deadline armed");
+        // Both requests are lost in flight: their handles drop unanswered.
+        for (_, _, tag) in sends(&actions) {
+            drop(ReplyTo::new(tag, tx.clone()));
+        }
+        for report in rx.try_iter() {
+            d.on_delivery(report, 2 * T);
+        }
+        // The round closed at once with no bid: the query backs off
+        // instead of waiting out the deadline.
+        let (_, at) = timer(&drain(&mut d)).expect("backoff armed");
+        assert_eq!(at, 2 * T + backoff(d.period, 0));
+        assert!(at < deadline);
     }
 }

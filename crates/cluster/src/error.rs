@@ -40,6 +40,8 @@ pub enum ClusterError {
     },
     /// Deployment-time failure (spec or data loading).
     Setup(String),
+    /// A run config the driver cannot run, naming the bad setting.
+    InvalidConfig(&'static str),
     /// A transport-level failure talking to a peer over the network. The
     /// wire-layer cause is preserved (and exposed via
     /// [`std::error::Error::source`]) together with which peer, at which
@@ -91,6 +93,7 @@ impl fmt::Display for ClusterError {
                 write!(f, "no placement after {retries} retries")
             }
             ClusterError::Setup(msg) => write!(f, "setup failed: {msg}"),
+            ClusterError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             ClusterError::Net {
                 phase,
                 node,

@@ -1,14 +1,14 @@
 //! Model-checking harness for the cluster driver protocol.
 //!
 //! [`run_schedule`] executes one deterministic episode of the allocation
-//! protocol — a step-driven re-statement of [`crate::driver::run_workload`]'s
-//! per-query state machine (poll → collect under a deadline → assign →
-//! execute → crash re-entry with a retry budget) — against the
-//! [`SimTransport`] virtual network, with **every** nondeterministic
-//! decision (which message is delivered, what is dropped, when a node
-//! crashes, when a collection deadline fires, when the driver harvests a
-//! reply) resolved by one shared [`Schedule`]. After the episode, four
-//! machine-checked invariants audit the final state:
+//! protocol — the shipped [`Driver`] state machine that
+//! [`crate::driver::run_workload`] also steps (poll → collect under a
+//! deadline → assign → execute → crash re-entry with a retry budget) —
+//! against the [`SimTransport`] virtual network, with **every**
+//! nondeterministic decision (which message is delivered, what is
+//! dropped, when a node crashes, when a timer fires, when the driver
+//! takes a reply) resolved by one shared [`Schedule`]. After the episode,
+//! four machine-checked invariants audit the final state:
 //!
 //! 1. **conservation** — every query ends exactly once (completed or
 //!    unserved, totals match the workload), and each completed query's
@@ -29,23 +29,16 @@
 //! the bounded DFS enumeration from [`SystematicExplorer`]. A failing
 //! schedule's seed or choice trail replays the identical interleaving.
 
-use crate::node::{ExecReply, OfferReply};
-use crate::simtransport::{encode_sql, NetStats, SharedSchedule, SimTransport};
-use crate::transport::Transport;
+use crate::driver::{perform, Action, ClusterConfig, ClusterMechanism, Driver};
+use crate::simtransport::{NetStats, SharedSchedule, SimTransport};
+use crate::transport::{Reply, ReplyTag, ReplyTo, Transport};
 use qa_simnet::sched::{ChoiceTrail, RandomSchedule, ReplaySchedule, Schedule, SystematicExplorer};
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_workload::ClassId;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::{channel, Receiver, TryRecvError};
-
-/// Which allocation protocol the harness drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreMechanism {
-    /// Estimate poll, minimum `exec_ms` wins (the paper's baseline).
-    Greedy,
-    /// Call-for-offers, minimum `completion_ms` among offers wins (QA-NT).
-    QaNt,
-}
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Shape of one explored episode. Small on purpose: model checking pays
 /// for breadth in schedules, not size of any single run.
@@ -68,7 +61,7 @@ pub struct ExploreConfig {
     /// Driver-action budget — the virtual watchdog behind invariant 4.
     pub max_actions: u64,
     /// The protocol under test.
-    pub mechanism: ExploreMechanism,
+    pub mechanism: ClusterMechanism,
     /// Harness self-test: arm the model nodes' deliberate double-commit
     /// bug; the invariant checker must flag every such run.
     pub inject_double_exec: bool,
@@ -88,7 +81,7 @@ impl ExploreConfig {
             crash_budget: 1,
             tick_every: 3,
             max_actions: 10_000,
-            mechanism: ExploreMechanism::QaNt,
+            mechanism: ClusterMechanism::QaNt,
             inject_double_exec: false,
         }
     }
@@ -129,254 +122,18 @@ impl ScheduleOutcome {
     }
 }
 
-/// Where one query currently is in the protocol.
-enum QState {
-    /// Not yet issued.
-    Idle,
-    /// Offers/estimates requested; waiting for the deadline action.
-    Collecting(CollectRx),
-    /// Assigned; waiting for the execute reply (or its loss).
-    Executing {
-        node: usize,
-        generation: u32,
-        rx: Receiver<ExecReply>,
-        /// Reply pulled during enablement checks, not yet harvested.
-        buffered: Option<Result<ExecReply, ()>>,
-    },
-    /// Finished: `Some((node, generation))` completed, `None` unserved.
-    Done(Option<(usize, u32)>),
-}
-
-enum CollectRx {
-    Offers(Receiver<OfferReply>),
-    Estimates(Receiver<crate::node::EstimateReply>),
-}
-
-struct QueryRun {
-    class: usize,
-    state: QState,
-    retries: u32,
-    /// Execute attempts so far — the next assignment's generation.
-    attempts: u32,
-}
-
-/// A driver action whose turn order the schedule controls.
-enum Action {
+/// A runner step whose turn order the schedule controls.
+enum Step {
     /// Let the virtual network take one step.
     Net,
-    /// Issue the next query's poll round.
+    /// Issue the next query.
     Issue,
-    /// Fire the collection deadline for query `i`.
-    Deadline(usize),
-    /// Consume query `i`'s buffered execute result.
-    Harvest(usize),
-}
-
-struct Driver<'a> {
-    cfg: &'a ExploreConfig,
-    transport: &'a SimTransport,
-    shared: &'a SharedSchedule,
-    telemetry: &'a Telemetry,
-    queries: Vec<QueryRun>,
-    next_issue: usize,
-    /// Nodes the driver has written off (send failed = crash observed).
-    dead: Vec<bool>,
-}
-
-impl Driver<'_> {
-    fn live_nodes(&self) -> Vec<usize> {
-        (0..self.cfg.num_nodes).filter(|&n| !self.dead[n]).collect()
-    }
-
-    /// Broadcasts the poll round for query `i` (offers under QA-NT,
-    /// estimates under Greedy). Zero reachable nodes ⇒ unserved.
-    fn issue_poll(&mut self, i: usize) {
-        let class = ClassId(self.queries[i].class as u32);
-        let sql = encode_sql(i as u64, self.queries[i].attempts, class);
-        let mut sent = 0usize;
-        match self.cfg.mechanism {
-            ExploreMechanism::QaNt => {
-                let (tx, rx) = channel();
-                for node in self.live_nodes() {
-                    match self
-                        .transport
-                        .call_for_offers(node, class, &sql, tx.clone())
-                    {
-                        Ok(()) => sent += 1,
-                        Err(_) => self.dead[node] = true,
-                    }
-                }
-                self.queries[i].state = QState::Collecting(CollectRx::Offers(rx));
-            }
-            ExploreMechanism::Greedy => {
-                let (tx, rx) = channel();
-                for node in self.live_nodes() {
-                    match self.transport.estimate(node, &sql, tx.clone()) {
-                        Ok(()) => sent += 1,
-                        Err(_) => self.dead[node] = true,
-                    }
-                }
-                self.queries[i].state = QState::Collecting(CollectRx::Estimates(rx));
-            }
-        }
-        if sent == 0 {
-            self.finish_unserved(i);
-        }
-    }
-
-    /// The deadline action: drain whatever replies arrived, pick the
-    /// winner deterministically (min cost, ties to the lowest node), and
-    /// dispatch the execute — or retry/give up when nobody bid.
-    fn deadline(&mut self, i: usize) {
-        let winner: Option<usize> = match &self.queries[i].state {
-            QState::Collecting(CollectRx::Offers(rx)) => {
-                let mut best: Option<(f64, usize)> = None;
-                while let Ok(offer) = rx.try_recv() {
-                    if !offer.offered {
-                        continue;
-                    }
-                    let key = (offer.completion_ms, offer.node);
-                    if best.is_none_or(|b| (key.0, key.1) < b) {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(_, node)| node)
-            }
-            QState::Collecting(CollectRx::Estimates(rx)) => {
-                let mut best: Option<(f64, usize)> = None;
-                while let Ok(est) = rx.try_recv() {
-                    let key = (est.exec_ms, est.node);
-                    if best.is_none_or(|b| (key.0, key.1) < b) {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(_, node)| node)
-            }
-            _ => unreachable!("deadline on a non-collecting query"),
-        };
-        match winner {
-            Some(node) => self.dispatch_execute(i, node),
-            None => self.retry(i),
-        }
-    }
-
-    /// Sends the execute for query `i` to `node` under a fresh
-    /// generation. A failed send is an observed crash: mark the node
-    /// dead and retry.
-    fn dispatch_execute(&mut self, i: usize, node: usize) {
-        let generation = self.queries[i].attempts;
-        self.queries[i].attempts += 1;
-        let class = ClassId(self.queries[i].class as u32);
-        let sql = encode_sql(i as u64, generation, class);
-        let (tx, rx) = channel();
-        match self.transport.execute(node, class, &sql, tx) {
-            Ok(()) => {
-                let retries = self.queries[i].retries;
-                self.telemetry.emit(|| TelemetryEvent::QueryAssigned {
-                    query: i as u64,
-                    class: class.0,
-                    node: node as u32,
-                    retries,
-                });
-                self.queries[i].state = QState::Executing {
-                    node,
-                    generation,
-                    rx,
-                    buffered: None,
-                };
-            }
-            Err(_) => {
-                self.dead[node] = true;
-                self.retry(i);
-            }
-        }
-    }
-
-    /// One more attempt if the budget allows, else unserved.
-    fn retry(&mut self, i: usize) {
-        self.queries[i].retries += 1;
-        if self.queries[i].retries > self.cfg.max_retries {
-            self.finish_unserved(i);
-        } else {
-            self.issue_poll(i);
-        }
-    }
-
-    fn finish_unserved(&mut self, i: usize) {
-        let (class, retries) = (self.queries[i].class as u32, self.queries[i].retries);
-        self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
-            query: i as u64,
-            class,
-            retries,
-        });
-        self.queries[i].state = QState::Done(None);
-    }
-
-    /// The harvest action: act on the buffered execute result. A lost
-    /// reply (disconnected receiver) is indistinguishable from a crashed
-    /// assignee, so the driver re-enters allocation — generation bumped —
-    /// exactly like [`crate::driver::run_workload`].
-    fn harvest(&mut self, i: usize) {
-        let QState::Executing {
-            node,
-            generation,
-            buffered,
-            ..
-        } = &mut self.queries[i].state
-        else {
-            unreachable!("harvest on a non-executing query");
-        };
-        let (node, generation) = (*node, *generation);
-        match buffered.take().expect("harvest enabled without a result") {
-            Ok(reply) => {
-                let class = self.queries[i].class as u32;
-                self.telemetry.emit(|| TelemetryEvent::QueryCompleted {
-                    query: i as u64,
-                    class,
-                    node: node as u32,
-                    response_ms: reply.exec_ms,
-                });
-                self.queries[i].state = QState::Done(Some((node, generation)));
-            }
-            Err(()) => {
-                self.dead[node] = true;
-                self.retry(i);
-            }
-        }
-    }
-
-    /// Builds the enabled-action list in a fixed deterministic order.
-    /// Executing queries get their receiver polled here; a ready (or
-    /// dead) reply is buffered so the harvest stays schedulable without
-    /// consuming it twice.
-    fn enabled_actions(&mut self) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if self.transport.pending_messages() > 0 {
-            actions.push(Action::Net);
-        }
-        if self.next_issue < self.cfg.num_queries {
-            actions.push(Action::Issue);
-        }
-        for i in 0..self.queries.len() {
-            match &mut self.queries[i].state {
-                QState::Collecting(_) => actions.push(Action::Deadline(i)),
-                QState::Executing { rx, buffered, .. } => {
-                    if buffered.is_none() {
-                        match rx.try_recv() {
-                            Ok(reply) => *buffered = Some(Ok(reply)),
-                            Err(TryRecvError::Disconnected) => *buffered = Some(Err(())),
-                            Err(TryRecvError::Empty) => {}
-                        }
-                    }
-                    if buffered.is_some() {
-                        actions.push(Action::Harvest(i));
-                    }
-                }
-                _ => {}
-            }
-        }
-        actions
-    }
+    /// Hand the driver the oldest reply report it has not taken yet.
+    Reply,
+    /// Fire the armed timer due first (a reply deadline, a backoff or an
+    /// execution timeout), as the event loop of
+    /// [`crate::driver::run_workload`] would.
+    Timer,
 }
 
 /// Runs one episode under `schedule` and audits the invariants. The
@@ -388,81 +145,117 @@ pub fn run_schedule(
     schedule_id: u64,
     mode: &str,
 ) -> ScheduleOutcome {
+    run_episode(cfg, schedule, telemetry, schedule_id, mode, |sim| sim)
+}
+
+/// [`run_schedule`] with the driver's sends going through `wrap`'s
+/// transport around the virtual network.
+fn run_episode(
+    cfg: &ExploreConfig,
+    schedule: Box<dyn Schedule + Send>,
+    telemetry: &Telemetry,
+    schedule_id: u64,
+    mode: &str,
+    wrap: impl FnOnce(Arc<SimTransport>) -> Arc<dyn Transport>,
+) -> ScheduleOutcome {
     let shared = SharedSchedule::new(schedule);
-    let transport = SimTransport::new(
+    let sim = Arc::new(SimTransport::new(
         cfg.num_nodes,
         cfg.num_classes,
         cfg.supply_per_period,
         cfg.crash_budget,
         shared.clone(),
         telemetry.clone(),
-    );
+    ));
     if cfg.inject_double_exec {
-        transport.inject_double_exec();
+        sim.inject_double_exec();
     }
+    let transport = wrap(Arc::clone(&sim));
     telemetry.emit(|| TelemetryEvent::ScheduleStarted {
         schedule: schedule_id,
         mode: mode.to_string(),
     });
 
-    let mut driver = Driver {
-        cfg,
-        transport: &transport,
-        shared: &shared,
-        telemetry,
-        queries: (0..cfg.num_queries)
-            .map(|i| QueryRun {
-                class: i % cfg.num_classes,
-                state: QState::Idle,
-                retries: 0,
-                attempts: 0,
-            })
-            .collect(),
-        next_issue: 0,
-        dead: vec![false; cfg.num_nodes],
+    let config = ClusterConfig {
+        max_retries: cfg.max_retries,
+        telemetry: telemetry.clone(),
+        ..ClusterConfig::ci_scale(cfg.mechanism, 0)
     };
-
-    let mut actions = 0u64;
+    let mut driver = Driver::new(&config, cfg.num_nodes);
+    let (replies, inbox) = channel();
+    let mut reports = VecDeque::new();
+    // Each running query's one armed timer: (due, tag).
+    let mut armed: Vec<Option<(Duration, ReplyTag)>> = vec![None; cfg.num_queries];
+    let (mut issued, mut done, mut actions) = (0, 0, 0u64);
     loop {
-        let all_done = driver
-            .queries
-            .iter()
-            .all(|q| matches!(q.state, QState::Done(_)));
-        if all_done || actions >= cfg.max_actions {
+        perform(
+            &mut driver,
+            transport.as_ref(),
+            &replies,
+            |action| match action {
+                Action::Timer { tag, at } => armed[tag.id as usize] = Some((at, tag)),
+                Action::Done(outcome) => {
+                    armed[outcome.query] = None;
+                    done += 1;
+                }
+                _ => {}
+            },
+        );
+        reports.extend(inbox.try_iter());
+        if done == cfg.num_queries || actions >= cfg.max_actions {
             break;
         }
-        let enabled = driver.enabled_actions();
+        // The enabled steps, in a fixed order that puts the benign choice
+        // first: timers fire only when nothing else can happen.
+        let mut enabled = Vec::new();
+        if sim.pending_messages() > 0 {
+            enabled.push(Step::Net);
+        }
+        if issued < cfg.num_queries {
+            enabled.push(Step::Issue);
+        }
+        if !reports.is_empty() {
+            enabled.push(Step::Reply);
+        }
+        if armed.iter().any(Option::is_some) {
+            enabled.push(Step::Timer);
+        }
         if enabled.is_empty() {
-            // Unreachable by construction (a non-done query always has a
-            // deadline, a harvest, or an in-flight message) — but a model
-            // checker must never trust "unreachable": fall through and
-            // let the termination invariant report the wedge.
+            // Unreachable by construction (every running query has an
+            // armed timer) — but a model checker must never trust
+            // "unreachable": fall through and let the termination
+            // invariant report the wedge.
             break;
         }
         actions += 1;
-        let pick = driver.shared.choose("action", enabled.len());
-        match enabled[pick] {
-            Action::Net => {
-                transport.step();
+        let now = Duration::from_millis(actions);
+        match enabled[shared.choose("action", enabled.len())] {
+            Step::Net => {
+                sim.step();
             }
-            Action::Issue => {
-                let i = driver.next_issue;
-                driver.next_issue += 1;
-                if i > 0 && i.is_multiple_of(cfg.tick_every) {
-                    for node in driver.live_nodes() {
-                        if transport.period_tick(node).is_err() {
-                            driver.dead[node] = true;
-                        }
-                    }
+            Step::Issue => {
+                if issued > 0 && issued.is_multiple_of(cfg.tick_every) {
+                    driver.period_tick();
                 }
-                driver.issue_poll(i);
+                let class = ClassId((issued % cfg.num_classes) as u32);
+                driver.issue(class, String::new(), (0..cfg.num_nodes).collect(), now);
+                issued += 1;
             }
-            Action::Deadline(i) => driver.deadline(i),
-            Action::Harvest(i) => driver.harvest(i),
+            Step::Reply => {
+                if let Some(report) = reports.pop_front() {
+                    driver.on_delivery(report, now);
+                }
+            }
+            Step::Timer => {
+                if let Some(first) = armed.iter_mut().filter(|t| t.is_some()).min() {
+                    let (_, tag) = first.take().expect("filtered to armed timers");
+                    driver.on_timer(tag, now);
+                }
+            }
         }
     }
 
-    let mut violations = check_invariants(cfg, &driver, &transport, actions);
+    let mut violations = check_invariants(cfg, &driver, &sim, actions);
     for v in &violations {
         let (invariant, detail) = (v.invariant.to_string(), v.detail.clone());
         telemetry.emit(|| TelemetryEvent::InvariantViolated { invariant, detail });
@@ -474,20 +267,19 @@ pub fn run_schedule(
         first.detail = format!("{} [trail {}]", first.detail, trail_string);
     }
 
-    let completed = driver
-        .queries
+    let placements: Vec<_> = (0..cfg.num_queries).map(|q| driver.placement(q)).collect();
+    let completed = placements
         .iter()
-        .filter(|q| matches!(q.state, QState::Done(Some(_))))
+        .filter(|p| matches!(p, Some(Some(_))))
         .count() as u64;
-    let unserved = driver
-        .queries
+    let unserved = placements
         .iter()
-        .filter(|q| matches!(q.state, QState::Done(None)))
+        .filter(|p| matches!(p, Some(None)))
         .count() as u64;
-    let net = transport.stats();
+    let net = sim.stats();
     let description = shared.describe();
-    drop(driver);
     drop(transport);
+    drop(sim);
     let trail = shared.into_inner().trail().clone();
     ScheduleOutcome {
         description,
@@ -505,17 +297,15 @@ pub fn run_schedule(
 /// episodes that finished.
 fn check_invariants(
     cfg: &ExploreConfig,
-    driver: &Driver<'_>,
+    driver: &Driver,
     transport: &SimTransport,
     actions: u64,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     // 4. Termination under the (virtual) watchdog.
-    let unfinished = driver
-        .queries
-        .iter()
-        .filter(|q| !matches!(q.state, QState::Done(_)))
+    let unfinished = (0..cfg.num_queries)
+        .filter(|&q| driver.placement(q).is_none())
         .count();
     if unfinished > 0 {
         violations.push(Violation {
@@ -540,16 +330,16 @@ fn check_invariants(
     // 1. Conservation: one outcome per query, totals match, and every
     // committed execution is present exactly once on its assignee.
     let mut done = 0usize;
-    for (i, q) in driver.queries.iter().enumerate() {
-        let QState::Done(outcome) = &q.state else {
+    for i in 0..cfg.num_queries {
+        let Some(outcome) = driver.placement(i) else {
             continue;
         };
         done += 1;
         if let Some((node, generation)) = outcome {
-            let hits = nodes[*node]
+            let hits = nodes[node]
                 .executions
                 .iter()
-                .filter(|e| e.query == i as u64 && e.generation == *generation)
+                .filter(|e| e.query == i as u64 && e.generation == generation)
                 .count();
             if hits != 1 {
                 violations.push(Violation {
@@ -594,9 +384,16 @@ fn check_invariants(
     // state (nodes were recovered and the network drained above).
     let dump = |node: usize| -> Option<Vec<f64>> {
         let (tx, rx) = channel();
-        transport.dump_prices(node, tx).ok()?;
+        let tag = ReplyTag {
+            id: node as u64,
+            generation: 0,
+        };
+        transport.dump_prices(node, ReplyTo::new(tag, tx)).ok()?;
         transport.drain();
-        rx.try_recv().ok().map(|p| p.prices)
+        match rx.try_recv().ok()?.reply {
+            Some(Reply::Prices(p)) => Some(p.prices),
+            _ => None,
+        }
     };
     for n in &nodes {
         let (first, second) = (dump(n.id), dump(n.id));
@@ -808,7 +605,7 @@ mod tests {
 
     #[test]
     fn random_sweep_holds_all_invariants_under_both_mechanisms() {
-        for mechanism in [ExploreMechanism::QaNt, ExploreMechanism::Greedy] {
+        for mechanism in [ClusterMechanism::QaNt, ClusterMechanism::Greedy] {
             let cfg = ExploreConfig {
                 mechanism,
                 ..ExploreConfig::small()
@@ -897,5 +694,109 @@ mod tests {
             let line = qa_simnet::json::ToJson::to_json(r).dump();
             qa_simnet::telemetry::TraceRecord::parse_line(&line).unwrap();
         }
+    }
+
+    /// A driver bug planted in the transport seam: every re-allocation
+    /// re-sends the query's first execution generation instead of the
+    /// fresh one.
+    struct ReusedGeneration {
+        inner: Arc<SimTransport>,
+        first: std::sync::Mutex<BTreeMap<u64, u32>>,
+    }
+
+    impl Transport for ReusedGeneration {
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn estimate(
+            &self,
+            node: usize,
+            class: ClassId,
+            sql: &str,
+            reply: ReplyTo,
+        ) -> Result<(), crate::ClusterError> {
+            self.inner.estimate(node, class, sql, reply)
+        }
+        fn call_for_offers(
+            &self,
+            node: usize,
+            class: ClassId,
+            sql: &str,
+            reply: ReplyTo,
+        ) -> Result<(), crate::ClusterError> {
+            self.inner.call_for_offers(node, class, sql, reply)
+        }
+        fn execute(
+            &self,
+            node: usize,
+            class: ClassId,
+            sql: &str,
+            mut reply: ReplyTo,
+        ) -> Result<(), crate::ClusterError> {
+            let mut first = self.first.lock().unwrap();
+            reply.tag.generation = *first.entry(reply.tag.id).or_insert(reply.tag.generation);
+            self.inner.execute(node, class, sql, reply)
+        }
+        fn period_tick(&self, node: usize) -> Result<(), crate::ClusterError> {
+            self.inner.period_tick(node)
+        }
+        fn dump_prices(&self, node: usize, reply: ReplyTo) -> Result<(), crate::ClusterError> {
+            self.inner.dump_prices(node, reply)
+        }
+        fn shutdown_node(&self, node: usize) {
+            self.inner.shutdown_node(node)
+        }
+        fn shutdown(&self) {
+            self.inner.shutdown()
+        }
+    }
+
+    #[test]
+    fn reusing_a_generation_on_reallocation_is_caught() {
+        // Every schedule one choice away from the benign one: some of
+        // them lose an execution's reply and force a re-allocation. The
+        // shipped driver passes them all; the mutant trips invariant 2.
+        let cfg = ExploreConfig::small();
+        let mut caught = 0;
+        for at in 0..200 {
+            let mut trail = vec![0; at + 1];
+            trail[at] = 1;
+            let run = |mutant: bool| {
+                run_episode(
+                    &cfg,
+                    Box::new(ReplaySchedule::new(trail.clone(), "one deviation")),
+                    &Telemetry::disabled(),
+                    at as u64,
+                    "replay",
+                    |inner| -> Arc<dyn Transport> {
+                        if mutant {
+                            Arc::new(ReusedGeneration {
+                                inner,
+                                first: Default::default(),
+                            })
+                        } else {
+                            inner
+                        }
+                    },
+                )
+            };
+            let shipped = run(false);
+            assert!(
+                shipped.passed(),
+                "deviation at {at}: {:?}",
+                shipped.violations
+            );
+            if run(true)
+                .violations
+                .iter()
+                .any(|v| v.invariant == "double_assignment")
+            {
+                caught += 1;
+            }
+        }
+        assert!(
+            caught > 0,
+            "invariant 2 missed a driver that reuses generations"
+        );
     }
 }

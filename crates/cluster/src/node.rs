@@ -11,6 +11,7 @@
 //! ([`qa_core::PlanHistoryEstimator`]) to correct the optimizer's prior.
 
 use crate::setup::ClusterSpec;
+use crate::transport::{Reply, ReplyTo};
 use qa_core::{PlanHistoryEstimator, QantConfig, QantNode};
 use qa_minidb::Database;
 use qa_simnet::telemetry::{Counter, Gauge, HistogramHandle, Telemetry, TelemetryEvent};
@@ -32,7 +33,7 @@ pub enum NodeMsg {
         /// The SQL to estimate.
         sql: String,
         /// Where to send the reply.
-        reply: Sender<EstimateReply>,
+        reply: ReplyTo,
     },
     /// QA-NT's call-for-offers.
     CallForOffers {
@@ -41,7 +42,7 @@ pub enum NodeMsg {
         /// The SQL (for the execution-time estimate backing the offer).
         sql: String,
         /// Where to send the reply.
-        reply: Sender<OfferReply>,
+        reply: ReplyTo,
     },
     /// Execute a query (the accepted assignment).
     Execute {
@@ -50,7 +51,7 @@ pub enum NodeMsg {
         /// Class (for QA-NT supply bookkeeping).
         class: ClassId,
         /// Where to send the result.
-        reply: Sender<ExecReply>,
+        reply: ReplyTo,
     },
     /// A QA-NT period boundary.
     PeriodTick,
@@ -59,7 +60,7 @@ pub enum NodeMsg {
     /// (`qa-ctl prices`) to inspect a live federation.
     DumpPrices {
         /// Where to send the reply.
-        reply: Sender<PricesReply>,
+        reply: ReplyTo,
     },
     /// Shut the node down.
     Shutdown,
@@ -421,13 +422,13 @@ impl NodeWorker {
                     }
                     let exec_ms = self.estimate_ms(&sql).unwrap_or(f64::INFINITY);
                     std::thread::sleep(self.link_latency + self.reply_jitter());
-                    // A dropped reply is simply never sent; the client's
-                    // collection deadline treats it as a non-answer.
+                    // A dropped reply is simply never sent: the handle
+                    // reports the loss and the client counts a non-answer.
                     if self.reply_delivered() {
-                        let _ = reply.send(EstimateReply {
+                        reply.send(Reply::Estimate(EstimateReply {
                             node: self.id,
                             exec_ms,
-                        });
+                        }));
                     } else {
                         self.note_reply_dropped("estimate_reply");
                     }
@@ -454,11 +455,11 @@ impl NodeWorker {
                     };
                     std::thread::sleep(self.link_latency + self.reply_jitter());
                     if self.reply_delivered() {
-                        let _ = reply.send(OfferReply {
+                        reply.send(Reply::Offer(OfferReply {
                             node: self.id,
                             offered,
                             completion_ms,
-                        });
+                        }));
                     } else {
                         self.note_reply_dropped("offer_reply");
                     }
@@ -503,26 +504,18 @@ impl NodeWorker {
                     // Execute replies are never fault-dropped: assignments
                     // travel over a reliable (TCP-like) connection; only
                     // the chatty negotiation traffic is lossy. A node
-                    // *crash* still loses them — the channel disconnects.
+                    // *crash* still loses them — the handle reports the loss.
                     std::thread::sleep(self.link_latency);
-                    match outcome {
-                        Ok(res) => {
-                            let _ = reply.send(ExecReply {
-                                node: self.id,
-                                rows: res.rows.len(),
-                                exec_ms,
-                                error: None,
-                            });
-                        }
-                        Err(e) => {
-                            let _ = reply.send(ExecReply {
-                                node: self.id,
-                                rows: 0,
-                                exec_ms,
-                                error: Some(e.to_string()),
-                            });
-                        }
-                    }
+                    let (rows, error) = match outcome {
+                        Ok(res) => (res.rows.len(), None),
+                        Err(e) => (0, Some(e.to_string())),
+                    };
+                    reply.send(Reply::Exec(ExecReply {
+                        node: self.id,
+                        rows,
+                        exec_ms,
+                        error,
+                    }));
                 }
                 NodeMsg::PeriodTick => {
                     if let Some(m) = &self.metrics {
@@ -539,10 +532,10 @@ impl NodeWorker {
                         .as_ref()
                         .map(|q| q.prices().as_slice().to_vec())
                         .unwrap_or_default();
-                    let _ = reply.send(PricesReply {
+                    reply.send(Reply::Prices(PricesReply {
                         node: self.id,
                         prices,
-                    });
+                    }));
                 }
                 NodeMsg::Shutdown => break,
             }
@@ -553,9 +546,46 @@ impl NodeWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{Delivery, ReplyTag};
 
     fn spec() -> ClusterSpec {
         ClusterSpec::generate(3, 4, 6, 8, 4, 60)
+    }
+
+    /// Sends the request `make` builds around a fresh reply handle and
+    /// waits for the handle's report: `None` when the reply was lost.
+    fn ask(h: &NodeHandle, make: impl FnOnce(ReplyTo) -> NodeMsg) -> Option<Reply> {
+        let (tx, rx) = channel::<Delivery>();
+        let tag = ReplyTag {
+            id: 0,
+            generation: 0,
+        };
+        h.sender.send(make(ReplyTo::new(tag, tx))).unwrap();
+        rx.recv_timeout(Duration::from_secs(10)).unwrap().reply
+    }
+
+    fn estimate(h: &NodeHandle, sql: &str) -> Option<EstimateReply> {
+        let sql = sql.to_string();
+        match ask(h, |reply| NodeMsg::Estimate { sql, reply }) {
+            Some(Reply::Estimate(r)) => Some(r),
+            _ => None,
+        }
+    }
+
+    fn offer(h: &NodeHandle, class: ClassId, sql: &str) -> OfferReply {
+        let sql = sql.to_string();
+        match ask(h, |reply| NodeMsg::CallForOffers { class, sql, reply }) {
+            Some(Reply::Offer(r)) => r,
+            other => panic!("expected an offer, got {other:?}"),
+        }
+    }
+
+    fn execute(h: &NodeHandle, class: ClassId, sql: &str) -> ExecReply {
+        let sql = sql.to_string();
+        match ask(h, |reply| NodeMsg::Execute { sql, class, reply }) {
+            Some(Reply::Exec(r)) => r,
+            other => panic!("expected an execution result, got {other:?}"),
+        }
     }
 
     #[test]
@@ -566,26 +596,11 @@ mod tests {
         let h = spawn_node(&s, node, 99, None);
         let sql = class.instantiate(100);
 
-        let (tx, rx) = channel();
-        h.sender
-            .send(NodeMsg::Estimate {
-                sql: sql.clone(),
-                reply: tx,
-            })
-            .unwrap();
-        let est = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let est = estimate(&h, &sql).expect("estimate reply");
         assert_eq!(est.node, node);
         assert!(est.exec_ms.is_finite() && est.exec_ms > 0.0);
 
-        let (tx, rx) = channel();
-        h.sender
-            .send(NodeMsg::Execute {
-                sql,
-                class: class.id,
-                reply: tx,
-            })
-            .unwrap();
-        let res = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let res = execute(&h, class.id, &sql);
         assert!(res.error.is_none(), "{:?}", res.error);
         assert!(res.exec_ms > 0.0);
         h.shutdown();
@@ -595,14 +610,7 @@ mod tests {
     /// the market period to a handful of supply units.
     fn calibrated_period_ms(s: &ClusterSpec, node: usize, sql: &str) -> f64 {
         let h = spawn_node(s, node, 99, None);
-        let (tx, rx) = channel();
-        h.sender
-            .send(NodeMsg::Estimate {
-                sql: sql.to_string(),
-                reply: tx,
-            })
-            .unwrap();
-        let est = rx.recv_timeout(Duration::from_secs(10)).unwrap().exec_ms;
+        let est = estimate(&h, sql).expect("estimate reply").exec_ms;
         h.shutdown();
         (est * 3.0).max(0.05)
     }
@@ -623,30 +631,15 @@ mod tests {
         );
         let sql = class.instantiate(100);
 
-        // Negotiation reply is dropped: the reply sender is discarded, so
-        // the client observes a disconnect, not a value.
-        let (tx, rx) = channel();
-        h.sender
-            .send(NodeMsg::Estimate {
-                sql: sql.clone(),
-                reply: tx,
-            })
-            .unwrap();
+        // Negotiation reply is dropped: the reply handle is discarded, so
+        // the client observes a loss, not a value.
         assert!(
-            rx.recv_timeout(Duration::from_secs(10)).is_err(),
+            estimate(&h, &sql).is_none(),
             "estimate reply must be dropped on a fully lossy link"
         );
 
         // Execution replies ride the reliable connection regardless.
-        let (tx, rx) = channel();
-        h.sender
-            .send(NodeMsg::Execute {
-                sql,
-                class: class.id,
-                reply: tx,
-            })
-            .unwrap();
-        let res = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let res = execute(&h, class.id, &sql);
         assert!(res.error.is_none(), "{:?}", res.error);
         h.shutdown();
     }
@@ -670,26 +663,9 @@ mod tests {
         let mut offers = 0;
         let mut rejections = 0;
         for _ in 0..300 {
-            let (tx, rx) = channel();
-            h.sender
-                .send(NodeMsg::CallForOffers {
-                    class: class.id,
-                    sql: sql.clone(),
-                    reply: tx,
-                })
-                .unwrap();
-            let o = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            if o.offered {
+            if offer(&h, class.id, &sql).offered {
                 offers += 1;
-                let (tx, rx) = channel();
-                h.sender
-                    .send(NodeMsg::Execute {
-                        sql: sql.clone(),
-                        class: class.id,
-                        reply: tx,
-                    })
-                    .unwrap();
-                let _ = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                execute(&h, class.id, &sql);
             } else {
                 rejections += 1;
                 h.sender.send(NodeMsg::PeriodTick).unwrap();
@@ -715,36 +691,20 @@ mod tests {
             ..QantConfig::default()
         };
         let h = spawn_node(&s, node, 99, Some(cfg));
-        let offer = |h: &NodeHandle| {
-            let (tx, rx) = channel();
-            h.sender
-                .send(NodeMsg::CallForOffers {
-                    class: class.id,
-                    sql: sql.clone(),
-                    reply: tx,
-                })
-                .unwrap();
-            rx.recv_timeout(Duration::from_secs(10)).unwrap().offered
-        };
         // Exhaust (bounded: the calibrated period holds only a few units).
         let mut guard = 0;
-        while offer(&h) && guard < 500 {
+        while offer(&h, class.id, &sql).offered && guard < 500 {
             guard += 1;
-            let (tx, rx) = channel();
-            h.sender
-                .send(NodeMsg::Execute {
-                    sql: sql.clone(),
-                    class: class.id,
-                    reply: tx,
-                })
-                .unwrap();
-            let _ = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            execute(&h, class.id, &sql);
         }
         // Several ticks (prices decay, supply recomputes with carry).
         for _ in 0..4 {
             h.sender.send(NodeMsg::PeriodTick).unwrap();
         }
-        assert!(offer(&h), "supply must replenish after period ticks");
+        assert!(
+            offer(&h, class.id, &sql).offered,
+            "supply must replenish after period ticks"
+        );
         h.shutdown();
     }
 
@@ -755,29 +715,11 @@ mod tests {
         let node = s.capable_nodes(class.id)[0];
         let h = spawn_node(&s, node, 99, None);
         let sql = class.instantiate(100);
-        let estimate = |h: &NodeHandle| {
-            let (tx, rx) = channel();
-            h.sender
-                .send(NodeMsg::Estimate {
-                    sql: sql.clone(),
-                    reply: tx,
-                })
-                .unwrap();
-            rx.recv_timeout(Duration::from_secs(10)).unwrap().exec_ms
-        };
-        let cold = estimate(&h);
+        let cold = estimate(&h, &sql).expect("estimate reply").exec_ms;
         for _ in 0..3 {
-            let (tx, rx) = channel();
-            h.sender
-                .send(NodeMsg::Execute {
-                    sql: sql.clone(),
-                    class: class.id,
-                    reply: tx,
-                })
-                .unwrap();
-            let _ = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            execute(&h, class.id, &sql);
         }
-        let warm = estimate(&h);
+        let warm = estimate(&h, &sql).expect("estimate reply").exec_ms;
         // After observations, the estimate must track measured wall time
         // rather than the cost prior (which is in arbitrary units).
         assert!(warm.is_finite() && cold.is_finite());

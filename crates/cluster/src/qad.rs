@@ -25,13 +25,15 @@
 //! reconnect to a still-warm market.
 
 use crate::driver::qant_config_for;
-use crate::node::{spawn_node_with_faults, NodeMsg, PricesReply};
+use crate::node::{spawn_node_with_faults, NodeMsg};
 use crate::setup::ClusterSpec;
+use crate::transport::{Delivery, NodeStats, Reply, ReplyTag, ReplyTo};
 use crate::ClusterMechanism;
 use qa_net::{ConnConfig, Connection, WireMsg};
 use qa_simnet::json::Json;
 use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{FaultPlan, LinkFaults};
+use qa_workload::ClassId;
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::mpsc::channel;
@@ -178,6 +180,9 @@ impl FedConfig {
         }
         if cfg.period_ms == 0 {
             return Err("period_ms must be positive".to_string());
+        }
+        if cfg.mean_interarrival_ms == 0 {
+            return Err("mean_interarrival_ms must be positive".to_string());
         }
         Ok(cfg)
     }
@@ -351,10 +356,10 @@ pub fn serve(
 }
 
 /// Pumps one driver connection: requests fan in to the node worker's
-/// mailbox; each reply is forwarded back over the wire (with its token)
-/// by a short-lived forwarder thread, preserving the node's saturated
-/// single-worker semantics — the *node* processes strictly in order, but
-/// a fault-dropped reply must not wedge the session.
+/// mailbox, each with a reply handle tagged by its wire token, and one
+/// forwarder thread per session writes every reply back over the wire.
+/// The *node* processes strictly in order (saturated single-worker
+/// semantics); a fault-dropped reply just never reaches the forwarder.
 fn serve_session(
     conn: Arc<Connection>,
     rx: std::sync::mpsc::Receiver<WireMsg>,
@@ -362,107 +367,63 @@ fn serve_session(
     node: u32,
     telemetry: &Telemetry,
 ) -> SessionEnd {
-    /// Forwards one typed reply back over the connection when (if) it
-    /// arrives; a dropped reply sender just ends the thread silently.
-    fn forward<T: Send + 'static>(
-        conn: &Arc<Connection>,
-        rx: std::sync::mpsc::Receiver<T>,
-        wrap: impl FnOnce(T) -> WireMsg + Send + 'static,
-    ) {
-        let conn = Arc::clone(conn);
-        std::thread::spawn(move || {
-            if let Ok(reply) = rx.recv() {
-                let _ = conn.send(wrap(reply));
+    let (replies, reports) = channel::<Delivery>();
+    // Ends once the session and every queued request have let go of
+    // their handles.
+    std::thread::spawn(move || {
+        for report in reports {
+            if let Some(reply) = report.reply {
+                let _ = conn.send(reply.into_wire(report.tag.id));
             }
-        });
-    }
-
+        }
+    });
+    let reply_to = |token: u64| {
+        let tag = ReplyTag {
+            id: token,
+            generation: 0,
+        };
+        ReplyTo::new(tag, replies.clone())
+    };
     for msg in rx {
-        match msg {
-            WireMsg::Estimate { token, sql } => {
-                let (tx, reply_rx) = channel();
-                if mailbox.send(NodeMsg::Estimate { sql, reply: tx }).is_err() {
-                    return SessionEnd::Shutdown;
-                }
-                forward(&conn, reply_rx, move |r: crate::node::EstimateReply| {
-                    WireMsg::EstimateReply {
-                        token,
-                        node: r.node as u32,
-                        exec_ms: r.exec_ms,
-                    }
-                });
-            }
-            WireMsg::CallForOffers { token, class, sql } => {
-                let (tx, reply_rx) = channel();
-                let send = mailbox.send(NodeMsg::CallForOffers {
-                    class: qa_workload::ClassId(class),
-                    sql,
-                    reply: tx,
-                });
-                if send.is_err() {
-                    return SessionEnd::Shutdown;
-                }
-                forward(&conn, reply_rx, move |r: crate::node::OfferReply| {
-                    WireMsg::OfferReply {
-                        token,
-                        node: r.node as u32,
-                        offered: r.offered,
-                        completion_ms: r.completion_ms,
-                    }
-                });
-            }
-            WireMsg::Execute { token, class, sql } => {
-                let (tx, reply_rx) = channel();
-                let send = mailbox.send(NodeMsg::Execute {
-                    sql,
-                    class: qa_workload::ClassId(class),
-                    reply: tx,
-                });
-                if send.is_err() {
-                    return SessionEnd::Shutdown;
-                }
-                forward(&conn, reply_rx, move |r: crate::node::ExecReply| {
-                    WireMsg::ExecReply {
-                        token,
-                        node: r.node as u32,
-                        rows: r.rows as u64,
-                        exec_ms: r.exec_ms,
-                        error: r.error,
-                    }
-                });
-            }
-            WireMsg::DumpPrices { token } => {
-                let (tx, reply_rx) = channel();
-                if mailbox.send(NodeMsg::DumpPrices { reply: tx }).is_err() {
-                    return SessionEnd::Shutdown;
-                }
-                forward(&conn, reply_rx, move |r: PricesReply| WireMsg::Prices {
-                    token,
-                    node: r.node as u32,
-                    prices: r.prices,
-                });
-            }
+        let request = match msg {
+            WireMsg::Estimate { token, sql } => NodeMsg::Estimate {
+                sql,
+                reply: reply_to(token),
+            },
+            WireMsg::CallForOffers { token, class, sql } => NodeMsg::CallForOffers {
+                class: ClassId(class),
+                sql,
+                reply: reply_to(token),
+            },
+            WireMsg::Execute { token, class, sql } => NodeMsg::Execute {
+                sql,
+                class: ClassId(class),
+                reply: reply_to(token),
+            },
+            WireMsg::DumpPrices { token } => NodeMsg::DumpPrices {
+                reply: reply_to(token),
+            },
+            WireMsg::PeriodTick => NodeMsg::PeriodTick,
             WireMsg::StatsRequest { token } => {
-                // Answered inline from the registry, *not* via the node
-                // mailbox: a stats scrape must stay responsive even when
-                // the single-worker node is saturated by a long query.
+                // Answered from the registry, *not* via the node mailbox:
+                // a stats scrape must stay responsive even when the
+                // single-worker node is saturated by a long query.
                 let json = telemetry
                     .registry()
                     .map(|r| r.snapshot().dump())
                     .unwrap_or_else(|| "{}".to_string());
-                let _ = conn.send(WireMsg::StatsReply { token, node, json });
-            }
-            WireMsg::PeriodTick => {
-                let sent = mailbox.send(NodeMsg::PeriodTick);
-                if sent.is_err() {
-                    return SessionEnd::Shutdown;
-                }
+                let node = node as usize;
+                reply_to(token).send(Reply::Stats(NodeStats { node, json }));
+                continue;
             }
             WireMsg::Shutdown => return SessionEnd::Shutdown,
             // Handshake frames are consumed by Connection::accept; reply
             // frames are never driver → server. Ignore rather than die:
             // a confused peer costs nothing.
-            _ => {}
+            _ => continue,
+        };
+        if mailbox.send(request).is_err() {
+            return SessionEnd::Shutdown;
         }
     }
     SessionEnd::PeerGone
@@ -559,6 +520,12 @@ mod tests {
         assert!(FedConfig::parse("{\"drop_prob\": 1.5}").is_err());
         assert!(FedConfig::parse("{\"num_nodes\": 1}").is_err());
         assert!(FedConfig::parse("[]").is_err(), "must be an object");
+    }
+
+    #[test]
+    fn zero_interarrival_gap_is_rejected() {
+        let err = FedConfig::parse("{\"mean_interarrival_ms\": 0}").unwrap_err();
+        assert!(err.contains("mean_interarrival_ms"), "{err}");
     }
 
     #[test]

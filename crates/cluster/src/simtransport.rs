@@ -11,24 +11,21 @@
 //! interleaving; a seed or a recorded choice trail replays it exactly.
 //!
 //! The driver side stays the real [`Transport`] contract: requests are
-//! asynchronous sends whose replies arrive on the caller's `Sender` or
-//! never do, a send to a crashed node fails immediately, and a dropped
-//! reply surfaces as a disconnected `Receiver`. The protocol under test
-//! cannot tell this network from the threaded one — which is the point.
+//! asynchronous sends whose [`ReplyTo`] handle reports the reply or its
+//! loss, and a send to a crashed node fails immediately. The driver under
+//! test is the shipped [`crate::driver::Driver`], which cannot tell this
+//! network from the threaded one — which is the point.
 //!
-//! Query identity crosses the seam the same way it does over TCP: encoded
-//! in the SQL text. The harness formats requests as
-//! `"q=<id> gen=<generation> class=<class>"` (see [`encode_sql`]), and
-//! model nodes log every execution as a `(query, generation)` pair so the
+//! Query identity crosses the seam in the reply handle's `(query,
+//! generation)` tag: model nodes log every execution under it, so the
 //! invariant checks can audit double assignment across crash re-entry.
 
 use crate::error::ClusterError;
 use crate::node::{EstimateReply, ExecReply, OfferReply, PricesReply};
-use crate::transport::Transport;
+use crate::transport::{Reply, ReplyTo, Transport};
 use qa_simnet::sched::Schedule;
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
 use qa_workload::ClassId;
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
 /// Multiplicative price raise on rejection (§3.1's `×(1 + λ)`).
@@ -39,18 +36,6 @@ const MU: f64 = 0.10;
 const PRICE_FLOOR: f64 = 1e-6;
 /// Virtual microseconds per delivered network step (telemetry clock).
 const STEP_US: u64 = 1_000;
-
-/// Formats the harness SQL carrying query identity across the transport
-/// seam.
-pub fn encode_sql(query: u64, generation: u32, class: ClassId) -> String {
-    format!("q={query} gen={generation} class={}", class.0)
-}
-
-/// Parses one `key=value` field out of a harness SQL string.
-fn sql_field(sql: &str, key: &str) -> Option<u64> {
-    sql.split_whitespace()
-        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-}
 
 /// One committed execution on a model node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,23 +90,10 @@ impl SimNodeState {
 /// A request parked in the virtual network, waiting for the schedule to
 /// deliver or drop it.
 enum SimMsg {
-    Estimate {
-        class: usize,
-        reply: Sender<EstimateReply>,
-    },
-    Offer {
-        class: usize,
-        reply: Sender<OfferReply>,
-    },
-    Execute {
-        class: usize,
-        query: u64,
-        generation: u32,
-        reply: Sender<ExecReply>,
-    },
-    Prices {
-        reply: Sender<PricesReply>,
-    },
+    Estimate { class: usize, reply: ReplyTo },
+    Offer { class: usize, reply: ReplyTo },
+    Execute { class: usize, reply: ReplyTo },
+    Prices { reply: ReplyTo },
     Tick,
 }
 
@@ -198,11 +170,6 @@ impl SharedSchedule {
     /// The compact `point:chosen/arity` trail walked so far.
     pub fn trail_string(&self) -> String {
         self.0.lock().unwrap().trail().to_string()
-    }
-
-    /// The raw chosen indices (for [`qa_simnet::sched::ReplaySchedule`]).
-    pub fn trail_indices(&self) -> Vec<u32> {
-        self.0.lock().unwrap().trail().indices()
     }
 
     /// Consumes the wrapper, returning the schedule (for
@@ -321,7 +288,7 @@ impl SimTransport {
                 let step = world.stats.steps;
                 world.stats.crash_steps.push(step);
                 // Everything in flight to the victim dies with it; the
-                // dropped reply senders disconnect the waiting receivers.
+                // dropped reply handles report their loss.
                 world.inflight.retain(|m| m.node != victim);
                 self.telemetry.emit(|| TelemetryEvent::NodeCrashed {
                     node: victim as u32,
@@ -331,38 +298,47 @@ impl SimTransport {
         }
 
         let idx = self.schedule.choose("deliver", world.inflight.len());
-        let InFlight { node, msg } = world.inflight.remove(idx);
+        let msg = world.inflight.remove(idx);
         if self.schedule.choose("drop", 2) == 1 {
             world.stats.dropped_requests += 1;
-            let context = format!("{} request dropped", msg.label());
+            let context = format!("{} request dropped", msg.msg.label());
             self.telemetry.emit(|| TelemetryEvent::MessageDropped {
-                node: node as u32,
+                node: msg.node as u32,
                 context,
             });
-            return true; // senders drop here → waiter disconnects
+            return true; // the handle drops here and reports the loss
         }
         world.stats.delivered += 1;
-        let drop_reply = |world: &mut SimWorld, this: &SimTransport, label: &str| -> bool {
-            let dropped = this.schedule.choose("reply_drop", 2) == 1;
-            if dropped {
-                world.stats.dropped_replies += 1;
-                let context = format!("{label} reply dropped");
-                this.telemetry.emit(|| TelemetryEvent::MessageDropped {
-                    node: node as u32,
-                    context,
-                });
-            }
-            dropped
-        };
-        match msg {
+        self.deliver(world, msg, true);
+        true
+    }
+
+    /// Delivers everything still in flight with benign choices (no drops,
+    /// FIFO order) and **without** consuming schedule choice points —
+    /// the post-run drain the invariant checks use to quiesce the
+    /// network before auditing state.
+    pub fn drain(&self) {
+        let mut world = self.world.lock().unwrap();
+        while !world.inflight.is_empty() {
+            world.stats.steps += 1;
+            world.stats.delivered += 1;
+            let msg = world.inflight.remove(0);
+            self.deliver(&mut world, msg, false);
+        }
+    }
+
+    /// Processes one message on its model node. With `adversarial` set,
+    /// the schedule decides whether the reply survives.
+    fn deliver(&self, world: &mut SimWorld, InFlight { node, msg }: InFlight, adversarial: bool) {
+        let label = msg.label();
+        let double = world.inject_double_exec;
+        let n = &mut world.nodes[node];
+        let (reply, answer) = match msg {
             SimMsg::Estimate { class, reply } => {
-                let exec_ms = world.nodes[node].exec_ms[class] + world.nodes[node].backlog_ms;
-                if !drop_reply(world, self, "estimate") {
-                    let _ = reply.send(EstimateReply { node, exec_ms });
-                }
+                let exec_ms = n.exec_ms[class] + n.backlog_ms;
+                (reply, Reply::Estimate(EstimateReply { node, exec_ms }))
             }
             SimMsg::Offer { class, reply } => {
-                let n = &mut world.nodes[node];
                 let offered = n.supply[class] > 0;
                 let completion_ms = n.backlog_ms + n.exec_ms[class];
                 if !offered {
@@ -382,46 +358,38 @@ impl SimTransport {
                         reason: PriceReason::Rejection,
                     });
                 }
-                if !drop_reply(world, self, "offer") {
-                    let _ = reply.send(OfferReply {
-                        node,
-                        offered,
-                        completion_ms,
-                    });
-                }
+                let offer = OfferReply {
+                    node,
+                    offered,
+                    completion_ms,
+                };
+                (reply, Reply::Offer(offer))
             }
-            SimMsg::Execute {
-                class,
-                query,
-                generation,
-                reply,
-            } => {
-                let double = world.inject_double_exec;
-                let n = &mut world.nodes[node];
-                n.executions.push(Execution { query, generation });
+            SimMsg::Execute { class, reply } => {
+                let execution = Execution {
+                    query: reply.tag.id,
+                    generation: reply.tag.generation,
+                };
+                n.executions.push(execution);
                 if double {
-                    n.executions.push(Execution { query, generation });
+                    n.executions.push(execution);
                 }
                 n.supply[class] = n.supply[class].saturating_sub(1);
                 let exec_ms = n.exec_ms[class];
                 n.backlog_ms += exec_ms;
-                if !drop_reply(world, self, "execute") {
-                    let _ = reply.send(ExecReply {
-                        node,
-                        rows: 1,
-                        exec_ms,
-                        error: None,
-                    });
-                }
+                let result = ExecReply {
+                    node,
+                    rows: 1,
+                    exec_ms,
+                    error: None,
+                };
+                (reply, Reply::Exec(result))
             }
             SimMsg::Prices { reply } => {
-                let prices = world.nodes[node].prices.clone();
-                if !drop_reply(world, self, "prices") {
-                    let _ = reply.send(PricesReply { node, prices });
-                }
+                let prices = n.prices.clone();
+                (reply, Reply::Prices(PricesReply { node, prices }))
             }
             SimMsg::Tick => {
-                let n = &mut world.nodes[node];
                 for class in 0..n.prices.len() {
                     if n.supply[class] > 0 {
                         // §3.2: leftover supply decays the price.
@@ -446,90 +414,19 @@ impl SimTransport {
                     budget_ms,
                     supply,
                 });
+                return;
             }
-        }
-        true
-    }
-
-    /// Delivers everything still in flight with benign choices (no drops,
-    /// FIFO order) and **without** consuming schedule choice points —
-    /// the post-run drain the invariant checks use to quiesce the
-    /// network before auditing state.
-    pub fn drain(&self) {
-        loop {
-            let msg = {
-                let mut world = self.world.lock().unwrap();
-                if world.inflight.is_empty() {
-                    break;
-                }
-                world.stats.steps += 1;
-                world.stats.delivered += 1;
-                world.inflight.remove(0)
-            };
-            self.deliver_benign(msg);
-        }
-    }
-
-    /// Processes one message with no loss and no price side channels
-    /// beyond the node's normal handling.
-    fn deliver_benign(&self, InFlight { node, msg }: InFlight) {
-        let mut world = self.world.lock().unwrap();
-        let world = &mut *world;
-        match msg {
-            SimMsg::Estimate { class, reply } => {
-                let exec_ms = world.nodes[node].exec_ms[class] + world.nodes[node].backlog_ms;
-                let _ = reply.send(EstimateReply { node, exec_ms });
-            }
-            SimMsg::Offer { class, reply } => {
-                let n = &mut world.nodes[node];
-                let offered = n.supply[class] > 0;
-                let completion_ms = n.backlog_ms + n.exec_ms[class];
-                if !offered {
-                    let old = n.prices[class];
-                    n.prices[class] = old * (1.0 + LAMBDA);
-                }
-                let _ = reply.send(OfferReply {
-                    node,
-                    offered,
-                    completion_ms,
-                });
-            }
-            SimMsg::Execute {
-                class,
-                query,
-                generation,
-                reply,
-            } => {
-                let double = world.inject_double_exec;
-                let n = &mut world.nodes[node];
-                n.executions.push(Execution { query, generation });
-                if double {
-                    n.executions.push(Execution { query, generation });
-                }
-                n.supply[class] = n.supply[class].saturating_sub(1);
-                let exec_ms = n.exec_ms[class];
-                n.backlog_ms += exec_ms;
-                let _ = reply.send(ExecReply {
-                    node,
-                    rows: 1,
-                    exec_ms,
-                    error: None,
-                });
-            }
-            SimMsg::Prices { reply } => {
-                let prices = world.nodes[node].prices.clone();
-                let _ = reply.send(PricesReply { node, prices });
-            }
-            SimMsg::Tick => {
-                let n = &mut world.nodes[node];
-                for class in 0..n.prices.len() {
-                    if n.supply[class] > 0 {
-                        n.prices[class] = (n.prices[class] * (1.0 - MU)).max(PRICE_FLOOR);
-                    }
-                }
-                n.tick_supply();
-                n.backlog_ms = 0.0;
-            }
+        };
+        if adversarial && self.schedule.choose("reply_drop", 2) == 1 {
+            world.stats.dropped_replies += 1;
+            let context = format!("{label} reply dropped");
+            self.telemetry.emit(|| TelemetryEvent::MessageDropped {
+                node: node as u32,
+                context,
+            });
+            // Dropping the handle reports the loss.
+        } else {
+            reply.send(answer);
         }
     }
 
@@ -540,10 +437,6 @@ impl SimTransport {
         }
         world.inflight.push(InFlight { node, msg });
         Ok(())
-    }
-
-    fn class_of(sql: &str) -> usize {
-        sql_field(sql, "class").unwrap_or(0) as usize
     }
 }
 
@@ -568,10 +461,11 @@ impl Transport for SimTransport {
     fn estimate(
         &self,
         node: usize,
-        sql: &str,
-        reply: Sender<EstimateReply>,
+        class: ClassId,
+        _sql: &str,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
-        let class = Self::class_of(sql);
+        let class = class.index();
         self.post("estimate", node, SimMsg::Estimate { class, reply })
     }
 
@@ -580,44 +474,28 @@ impl Transport for SimTransport {
         node: usize,
         class: ClassId,
         _sql: &str,
-        reply: Sender<OfferReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
-        self.post(
-            "offer",
-            node,
-            SimMsg::Offer {
-                class: class.0 as usize,
-                reply,
-            },
-        )
+        let class = class.index();
+        self.post("offer", node, SimMsg::Offer { class, reply })
     }
 
     fn execute(
         &self,
         node: usize,
         class: ClassId,
-        sql: &str,
-        reply: Sender<ExecReply>,
+        _sql: &str,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
-        let query = sql_field(sql, "q").unwrap_or(u64::MAX);
-        let generation = sql_field(sql, "gen").unwrap_or(0) as u32;
-        self.post(
-            "execute",
-            node,
-            SimMsg::Execute {
-                class: class.0 as usize,
-                query,
-                generation,
-                reply,
-            },
-        )
+        let class = class.index();
+        self.post("execute", node, SimMsg::Execute { class, reply })
     }
 
     fn period_tick(&self, node: usize) -> Result<(), ClusterError> {
         self.post("tick", node, SimMsg::Tick)
     }
 
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError> {
+    fn dump_prices(&self, node: usize, reply: ReplyTo) -> Result<(), ClusterError> {
         self.post("prices", node, SimMsg::Prices { reply })
     }
 

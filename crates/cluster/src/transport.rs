@@ -1,37 +1,41 @@
 //! Transport abstraction: how the driver reaches the node fleet.
 //!
-//! The §5.2 experiment originally hard-wired `std::sync::mpsc` senders
-//! into the driver. [`Transport`] lifts that into a trait with two
-//! interchangeable implementations:
+//! [`Transport`] is the seam between the driver's protocol logic and the
+//! fleet, with three implementations:
 //!
-//! * [`ChannelTransport`] — the historical in-process fleet: one OS
-//!   thread per node, mpsc mailboxes, zero serialization.
+//! * [`ChannelTransport`] — the in-process fleet: one OS thread per node,
+//!   mpsc mailboxes, zero serialization.
 //! * [`TcpTransport`] — real processes: each node is a `qad` server
 //!   reached over a [`qa_net::Connection`], every protocol message
 //!   crossing the wire as a [`WireMsg`] frame.
+//! * [`crate::simtransport::SimTransport`] — the schedule-driven virtual
+//!   network under the model checker.
 //!
 //! ## Contract
 //!
 //! Request methods (`estimate`, `call_for_offers`, `execute`,
-//! `dump_prices`) are **asynchronous sends**: the reply arrives on the
-//! `Sender` the caller passed, or never does. The driver's loss-tolerant
-//! collection deadline is the only completion guarantee — exactly the
-//! semantics the in-process fleet always had, which is what makes the two
-//! implementations observationally interchangeable:
+//! `dump_prices`) are **asynchronous sends** carrying one [`ReplyTo`]
+//! handle. The handle is one-shot and reports exactly once to the
+//! requester's single reply channel, as a [`Delivery`] tagged with the
+//! requester's [`ReplyTag`]:
 //!
-//! * a reply that will never come (fault-dropped, peer dead) surfaces as
-//!   either a disconnected `Receiver` or a collection timeout;
-//! * a send to a dead peer returns a [`ClusterError`] immediately, and
-//!   the caller is expected to mark the node dead and re-allocate (PR-1
-//!   crash semantics);
-//! * `shutdown_node` is crash injection: over channels it shuts the
-//!   mailbox, over TCP it terminates the remote process.
+//! * with the reply, when the node answers;
+//! * with no reply, when the handle is dropped unanswered — a
+//!   fault-dropped reply, a node that died with the request queued, a
+//!   send that failed, or a peer connection that went down. The wait for
+//!   that reply ends at once.
 //!
-//! Token correlation: reply `Sender`s cannot cross a socket, so
-//! [`TcpTransport`] assigns each request a `u64` token, keeps the typed
-//! sender in a per-peer pending map, and a dispatcher thread routes each
-//! incoming reply frame back by token. Tokens are registered *before* the
-//! request is sent — a reply can never race its own registration.
+//! A reply lost on a real network (no handle to drop) is bounded by the
+//! driver's reply deadline. A send to a dead peer also returns a
+//! [`ClusterError`] immediately, and the caller marks the node dead and
+//! re-allocates. `shutdown_node` is crash injection: over channels it shuts
+//! the mailbox, over TCP it terminates the remote process.
+//!
+//! No thread waits per request: the driver reads one channel, and
+//! [`TcpTransport`] parks each handle under a `u64` wire token in a
+//! per-peer pending map that one dispatcher thread per peer drains.
+//! Tokens are registered *before* the request is sent, so a reply can
+//! never race its own registration.
 
 use crate::error::ClusterError;
 use crate::node::{EstimateReply, ExecReply, NodeHandle, NodeMsg, OfferReply, PricesReply};
@@ -50,6 +54,178 @@ use std::time::{Duration, Instant};
 /// is never orphaned while someone still waits for it).
 const PENDING_TTL: Duration = Duration::from_secs(120);
 
+/// The requester's correlation tag, returned with every [`Delivery`]. The
+/// driver tags a request with its query and that query's generation;
+/// `qad` tags with the wire token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ReplyTag {
+    /// Query index (driver) or wire token (`qad`).
+    pub id: u64,
+    /// The query's generation when the request left.
+    pub generation: u32,
+}
+
+/// Any node reply.
+#[derive(Debug, Clone)]
+pub enum Reply {
+    /// Greedy's execution estimate.
+    Estimate(EstimateReply),
+    /// QA-NT's offer or refusal.
+    Offer(OfferReply),
+    /// An execution result.
+    Exec(ExecReply),
+    /// A price vector.
+    Prices(PricesReply),
+    /// A metrics-registry snapshot.
+    Stats(NodeStats),
+}
+
+impl Reply {
+    /// Splits a reply frame into its wire token and reply; `None` for a
+    /// frame that is not a reply.
+    pub fn from_wire(msg: WireMsg) -> Option<(u64, Reply)> {
+        Some(match msg {
+            WireMsg::EstimateReply {
+                token,
+                node,
+                exec_ms,
+            } => (
+                token,
+                Reply::Estimate(EstimateReply {
+                    node: node as usize,
+                    exec_ms,
+                }),
+            ),
+            WireMsg::OfferReply {
+                token,
+                node,
+                offered,
+                completion_ms,
+            } => (
+                token,
+                Reply::Offer(OfferReply {
+                    node: node as usize,
+                    offered,
+                    completion_ms,
+                }),
+            ),
+            WireMsg::ExecReply {
+                token,
+                node,
+                rows,
+                exec_ms,
+                error,
+            } => (
+                token,
+                Reply::Exec(ExecReply {
+                    node: node as usize,
+                    rows: rows as usize,
+                    exec_ms,
+                    error,
+                }),
+            ),
+            WireMsg::Prices {
+                token,
+                node,
+                prices,
+            } => (
+                token,
+                Reply::Prices(PricesReply {
+                    node: node as usize,
+                    prices,
+                }),
+            ),
+            WireMsg::StatsReply { token, node, json } => (
+                token,
+                Reply::Stats(NodeStats {
+                    node: node as usize,
+                    json,
+                }),
+            ),
+            _ => return None,
+        })
+    }
+
+    /// The reply frame carrying this reply under `token`.
+    pub fn into_wire(self, token: u64) -> WireMsg {
+        match self {
+            Reply::Estimate(r) => WireMsg::EstimateReply {
+                token,
+                node: r.node as u32,
+                exec_ms: r.exec_ms,
+            },
+            Reply::Offer(r) => WireMsg::OfferReply {
+                token,
+                node: r.node as u32,
+                offered: r.offered,
+                completion_ms: r.completion_ms,
+            },
+            Reply::Exec(r) => WireMsg::ExecReply {
+                token,
+                node: r.node as u32,
+                rows: r.rows as u64,
+                exec_ms: r.exec_ms,
+                error: r.error,
+            },
+            Reply::Prices(r) => WireMsg::Prices {
+                token,
+                node: r.node as u32,
+                prices: r.prices,
+            },
+            Reply::Stats(r) => WireMsg::StatsReply {
+                token,
+                node: r.node as u32,
+                json: r.json,
+            },
+        }
+    }
+}
+
+/// What a [`ReplyTo`] reports: its tag, and the reply (`None` when the
+/// handle was dropped unanswered).
+#[derive(Debug)]
+pub struct Delivery {
+    /// The requester's tag.
+    pub tag: ReplyTag,
+    /// The reply, or `None` for a lost one.
+    pub reply: Option<Reply>,
+}
+
+/// A one-shot reply handle: reports exactly one [`Delivery`] to the
+/// requester's channel, with the reply via [`ReplyTo::send`] or without
+/// one when dropped unanswered.
+pub struct ReplyTo {
+    pub(crate) tag: ReplyTag,
+    tx: Option<Sender<Delivery>>,
+}
+
+impl ReplyTo {
+    /// A handle reporting to `tx` under `tag`.
+    pub fn new(tag: ReplyTag, tx: Sender<Delivery>) -> ReplyTo {
+        ReplyTo { tag, tx: Some(tx) }
+    }
+
+    /// Answers the request.
+    pub fn send(mut self, reply: Reply) {
+        self.report(Some(reply));
+    }
+
+    fn report(&mut self, reply: Option<Reply>) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send(Delivery {
+                tag: self.tag,
+                reply,
+            });
+        }
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        self.report(None);
+    }
+}
+
 /// A fleet-facing message channel; see the module docs for the contract.
 pub trait Transport: Send + Sync {
     /// Fleet size (dead peers included — indices are stable).
@@ -62,8 +238,9 @@ pub trait Transport: Send + Sync {
     fn estimate(
         &self,
         node: usize,
+        class: ClassId,
         sql: &str,
-        reply: Sender<EstimateReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError>;
 
     /// QA-NT's call-for-offers.
@@ -75,7 +252,7 @@ pub trait Transport: Send + Sync {
         node: usize,
         class: ClassId,
         sql: &str,
-        reply: Sender<OfferReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError>;
 
     /// Executes an accepted assignment.
@@ -87,7 +264,7 @@ pub trait Transport: Send + Sync {
         node: usize,
         class: ClassId,
         sql: &str,
-        reply: Sender<ExecReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError>;
 
     /// Announces a QA-NT period boundary.
@@ -100,7 +277,7 @@ pub trait Transport: Send + Sync {
     ///
     /// # Errors
     /// [`ClusterError`] when the send itself fails (peer dead).
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError>;
+    fn dump_prices(&self, node: usize, reply: ReplyTo) -> Result<(), ClusterError>;
 
     /// Terminates one node (crash injection / targeted shutdown). Best
     /// effort; a node that is already gone is not an error.
@@ -144,17 +321,12 @@ impl Transport for ChannelTransport {
     fn estimate(
         &self,
         node: usize,
+        _class: ClassId,
         sql: &str,
-        reply: Sender<EstimateReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
-        self.send(
-            "estimate",
-            node,
-            NodeMsg::Estimate {
-                sql: sql.to_string(),
-                reply,
-            },
-        )
+        let sql = sql.to_string();
+        self.send("estimate", node, NodeMsg::Estimate { sql, reply })
     }
 
     fn call_for_offers(
@@ -162,17 +334,10 @@ impl Transport for ChannelTransport {
         node: usize,
         class: ClassId,
         sql: &str,
-        reply: Sender<OfferReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
-        self.send(
-            "offer",
-            node,
-            NodeMsg::CallForOffers {
-                class,
-                sql: sql.to_string(),
-                reply,
-            },
-        )
+        let sql = sql.to_string();
+        self.send("offer", node, NodeMsg::CallForOffers { class, sql, reply })
     }
 
     fn execute(
@@ -180,24 +345,17 @@ impl Transport for ChannelTransport {
         node: usize,
         class: ClassId,
         sql: &str,
-        reply: Sender<ExecReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
-        self.send(
-            "execute",
-            node,
-            NodeMsg::Execute {
-                sql: sql.to_string(),
-                class,
-                reply,
-            },
-        )
+        let sql = sql.to_string();
+        self.send("execute", node, NodeMsg::Execute { sql, class, reply })
     }
 
     fn period_tick(&self, node: usize) -> Result<(), ClusterError> {
         self.send("tick", node, NodeMsg::PeriodTick)
     }
 
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError> {
+    fn dump_prices(&self, node: usize, reply: ReplyTo) -> Result<(), ClusterError> {
         self.send("prices", node, NodeMsg::DumpPrices { reply })
     }
 
@@ -226,25 +384,16 @@ pub struct NodeStats {
     pub json: String,
 }
 
-/// A reply sender parked under its request token.
-enum Pending {
-    Estimate(Sender<EstimateReply>),
-    Offer(Sender<OfferReply>),
-    Exec(Sender<ExecReply>),
-    Prices(Sender<PricesReply>),
-    Stats(Sender<NodeStats>),
-}
-
 /// Shared between a peer's handle and its dispatcher thread.
 struct PeerState {
     addr: String,
-    pending: Mutex<HashMap<u64, (Pending, Instant)>>,
+    pending: Mutex<HashMap<u64, (ReplyTo, Instant)>>,
 }
 
 impl PeerState {
-    /// Fails every outstanding request now: dropping the parked senders
-    /// disconnects their receivers, so waiters observe dead-peer
-    /// semantics immediately instead of aging out via the TTL sweep.
+    /// Fails every outstanding request now: dropping the parked handles
+    /// reports each as lost, so waiters observe dead-peer semantics
+    /// immediately instead of aging out via the TTL sweep.
     fn fail_pending(&self) {
         self.pending.lock().unwrap().clear();
     }
@@ -340,19 +489,20 @@ impl TcpTransport {
     ///
     /// # Errors
     /// [`ClusterError`] when the send itself fails (peer dead).
-    pub fn request_stats(&self, node: usize, reply: Sender<NodeStats>) -> Result<(), ClusterError> {
-        self.request("stats", node, Pending::Stats(reply), |token| {
-            WireMsg::StatsRequest { token }
+    pub fn request_stats(&self, node: usize, reply: ReplyTo) -> Result<(), ClusterError> {
+        self.request("stats", node, reply, |token| WireMsg::StatsRequest {
+            token,
         })
     }
 
-    /// Registers the reply slot under a fresh token, then sends. On a
-    /// failed send the slot is withdrawn again so the map cannot leak.
+    /// Parks the reply handle under a fresh token, then sends. On a
+    /// failed send the handle is withdrawn again (and so reports the
+    /// loss) so the map cannot leak.
     fn request(
         &self,
         phase: &'static str,
         node: usize,
-        pending: Pending,
+        reply: ReplyTo,
         make_msg: impl FnOnce(u64) -> WireMsg,
     ) -> Result<(), ClusterError> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
@@ -361,7 +511,7 @@ impl TcpTransport {
             .pending
             .lock()
             .unwrap()
-            .insert(token, (pending, Instant::now()));
+            .insert(token, (reply, Instant::now()));
         match self.send(phase, node, make_msg(token)) {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -385,12 +535,14 @@ impl Transport for TcpTransport {
     fn estimate(
         &self,
         node: usize,
+        _class: ClassId,
         sql: &str,
-        reply: Sender<EstimateReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
         let sql = sql.to_string();
-        self.request("estimate", node, Pending::Estimate(reply), |token| {
-            WireMsg::Estimate { token, sql }
+        self.request("estimate", node, reply, |token| WireMsg::Estimate {
+            token,
+            sql,
         })
     }
 
@@ -399,15 +551,13 @@ impl Transport for TcpTransport {
         node: usize,
         class: ClassId,
         sql: &str,
-        reply: Sender<OfferReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
         let sql = sql.to_string();
-        self.request("offer", node, Pending::Offer(reply), |token| {
-            WireMsg::CallForOffers {
-                token,
-                class: class.0,
-                sql,
-            }
+        self.request("offer", node, reply, |token| WireMsg::CallForOffers {
+            token,
+            class: class.0,
+            sql,
         })
     }
 
@@ -416,15 +566,13 @@ impl Transport for TcpTransport {
         node: usize,
         class: ClassId,
         sql: &str,
-        reply: Sender<ExecReply>,
+        reply: ReplyTo,
     ) -> Result<(), ClusterError> {
         let sql = sql.to_string();
-        self.request("execute", node, Pending::Exec(reply), |token| {
-            WireMsg::Execute {
-                token,
-                class: class.0,
-                sql,
-            }
+        self.request("execute", node, reply, |token| WireMsg::Execute {
+            token,
+            class: class.0,
+            sql,
         })
     }
 
@@ -432,10 +580,8 @@ impl Transport for TcpTransport {
         self.send("tick", node, WireMsg::PeriodTick)
     }
 
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError> {
-        self.request("prices", node, Pending::Prices(reply), |token| {
-            WireMsg::DumpPrices { token }
-        })
+    fn dump_prices(&self, node: usize, reply: ReplyTo) -> Result<(), ClusterError> {
+        self.request("prices", node, reply, |token| WireMsg::DumpPrices { token })
     }
 
     fn shutdown_node(&self, node: usize) {
@@ -466,9 +612,9 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Routes reply frames back to their parked senders by token. Runs until
-/// the connection dies, then drops every outstanding sender so waiting
-/// drivers observe disconnection (dead-peer semantics).
+/// Routes reply frames back to their parked handles by token. Runs until
+/// the connection dies, then drops every outstanding handle so waiting
+/// drivers see each request lost (dead-peer semantics).
 fn dispatch_replies(state: Arc<PeerState>, rx: Receiver<WireMsg>) {
     loop {
         // The timeout is only the GC cadence: expired tokens (replies
@@ -486,73 +632,15 @@ fn dispatch_replies(state: Arc<PeerState>, rx: Receiver<WireMsg>) {
             }
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
         };
-        let token = match &msg {
-            WireMsg::EstimateReply { token, .. }
-            | WireMsg::OfferReply { token, .. }
-            | WireMsg::ExecReply { token, .. }
-            | WireMsg::Prices { token, .. }
-            | WireMsg::StatsReply { token, .. } => *token,
-            // Anything else is not a reply; a well-behaved qad never
-            // sends these to a driver.
-            _ => continue,
+        // Anything but a reply is ignored; a well-behaved qad never sends
+        // those to a driver.
+        let Some((token, reply)) = Reply::from_wire(msg) else {
+            continue;
         };
         let slot = state.pending.lock().unwrap().remove(&token);
-        // A mismatched slot type means a protocol violation; dropping the
-        // sender surfaces it as a disconnect rather than a wrong value.
-        match (slot, msg) {
-            (Some((Pending::Estimate(tx), _)), WireMsg::EstimateReply { node, exec_ms, .. }) => {
-                let _ = tx.send(EstimateReply {
-                    node: node as usize,
-                    exec_ms,
-                });
-            }
-            (
-                Some((Pending::Offer(tx), _)),
-                WireMsg::OfferReply {
-                    node,
-                    offered,
-                    completion_ms,
-                    ..
-                },
-            ) => {
-                let _ = tx.send(OfferReply {
-                    node: node as usize,
-                    offered,
-                    completion_ms,
-                });
-            }
-            (
-                Some((Pending::Exec(tx), _)),
-                WireMsg::ExecReply {
-                    node,
-                    rows,
-                    exec_ms,
-                    error,
-                    ..
-                },
-            ) => {
-                let _ = tx.send(ExecReply {
-                    node: node as usize,
-                    rows: rows as usize,
-                    exec_ms,
-                    error,
-                });
-            }
-            (Some((Pending::Prices(tx), _)), WireMsg::Prices { node, prices, .. }) => {
-                let _ = tx.send(PricesReply {
-                    node: node as usize,
-                    prices,
-                });
-            }
-            (Some((Pending::Stats(tx), _)), WireMsg::StatsReply { node, json, .. }) => {
-                let _ = tx.send(NodeStats {
-                    node: node as usize,
-                    json,
-                });
-            }
-            _ => {}
+        if let Some((handle, _)) = slot {
+            handle.send(reply);
         }
     }
-    // Peer died: disconnect every waiter.
-    state.pending.lock().unwrap().clear();
+    state.fail_pending();
 }

@@ -2,15 +2,16 @@
 //!
 //! A peer that completes the handshake and then misbehaves — sends a
 //! mangled frame, or simply never answers — must surface through the
-//! transport as typed errors and prompt receiver disconnects, never as a
-//! hang that waits out the idle-death timer or the pending-reply TTL.
+//! transport as typed errors and promptly reported reply losses, never as
+//! a hang that waits out the idle-death timer or the pending-reply TTL.
 
-use query_markets::cluster::{ClusterError, TcpTransport, Transport};
+use query_markets::cluster::{ClusterError, Delivery, ReplyTag, ReplyTo, TcpTransport, Transport};
 use query_markets::net::{
     recv_msg, send_msg, write_frame, ConnConfig, NetError, WireMsg, MAX_FRAME,
 };
 use query_markets::simnet::telemetry::Telemetry;
 use query_markets::simnet::with_watchdog;
+use query_markets::workload::ClassId;
 use std::error::Error as _;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -75,6 +76,15 @@ fn serve(stream: &mut TcpStream, mis: Misbehaviour) {
     }
 }
 
+/// A reply handle reporting to `tx`.
+fn reply_to(tx: &mpsc::Sender<Delivery>) -> ReplyTo {
+    let tag = ReplyTag {
+        id: 0,
+        generation: 0,
+    };
+    ReplyTo::new(tag, tx.clone())
+}
+
 fn connect(addr: &str) -> TcpTransport {
     let cfg = ConnConfig::default();
     TcpTransport::connect(&[addr.to_string()], &cfg, &Telemetry::disabled()).expect("connect")
@@ -87,24 +97,28 @@ fn mangled_frame_fails_fast_with_typed_source_chain() {
         let transport = connect(&addr);
 
         let (tx, rx) = mpsc::channel();
-        transport.estimate(0, "SELECT 1", tx).expect("send ok");
+        transport
+            .estimate(0, ClassId(0), "SELECT 1", reply_to(&tx))
+            .expect("send ok");
 
-        // The mangled reply must kill the connection and disconnect the
-        // parked receiver well before the 15 s idle-death deadline (the
+        // The mangled reply must kill the connection and report the
+        // parked handle lost well before the 15 s idle-death deadline (the
         // server answers pings, so idle death cannot fire here at all).
         let start = Instant::now();
         let got = rx.recv_timeout(Duration::from_secs(10));
-        assert!(got.is_err(), "no valid reply can exist: {got:?}");
+        assert!(
+            matches!(got, Ok(Delivery { reply: None, .. })),
+            "no valid reply can exist: {got:?}"
+        );
         assert!(
             start.elapsed() < Duration::from_secs(10),
-            "receiver must disconnect promptly, not time out"
+            "the loss must be reported promptly, not time out"
         );
 
         // The connection is now dead: a follow-up request errors
         // immediately and the error is typed all the way down.
-        let (tx2, _rx2) = mpsc::channel();
         let err = transport
-            .estimate(0, "SELECT 2", tx2)
+            .estimate(0, ClassId(0), "SELECT 2", reply_to(&tx))
             .expect_err("connection must be dead");
         match &err {
             ClusterError::Net {
@@ -148,7 +162,9 @@ fn disconnect_fails_pending_requests_immediately() {
         let transport = connect(&addr);
 
         let (tx, rx) = mpsc::channel();
-        transport.estimate(0, "SELECT 1", tx).expect("send ok");
+        transport
+            .estimate(0, ClassId(0), "SELECT 1", reply_to(&tx))
+            .expect("send ok");
         // Give the request time to actually reach the server, so the
         // pending slot is genuinely outstanding when we disconnect.
         std::thread::sleep(Duration::from_millis(50));
@@ -157,10 +173,10 @@ fn disconnect_fails_pending_requests_immediately() {
         transport.disconnect();
         // Regression: the pending map must be failed on disconnect, not
         // aged out by the TTL sweep — the waiter observes dead-peer
-        // semantics (disconnected receiver) right away.
+        // semantics (the handle reports the loss) right away.
         let got = rx.recv_timeout(Duration::from_secs(5));
         assert!(
-            matches!(got, Err(mpsc::RecvTimeoutError::Disconnected)),
+            matches!(got, Ok(Delivery { reply: None, .. })),
             "pending reply must be failed by disconnect, got {got:?}"
         );
         assert!(
