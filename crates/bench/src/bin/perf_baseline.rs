@@ -22,6 +22,10 @@
 //! machine as much as the code — so the gate is the micro suite, whose
 //! generous tolerance absorbs CI-runner noise while still catching
 //! order-of-magnitude regressions.
+//!
+//! The check also holds each [`RATIO_GATES`] case within a bound of its
+//! twin measured in the same run. A same-run ratio is immune to host
+//! drift, so its bound can be much tighter than the pinned tolerance.
 
 use qa_bench::micro::{self, MicroResult};
 use qa_bench::write_json;
@@ -34,6 +38,16 @@ use std::time::Instant;
 /// integer factors, and the gate exists to catch structural regressions
 /// (an accidental O(n²), a lost fast path), not percent-level drift.
 const CHECK_TOLERANCE: f64 = 3.0;
+
+/// Same-run ratio gates, `(case, twin, bound)`: the check fails when
+/// `case` is slower than `bound ×` `twin` in the same run. The
+/// metrics-only federation period must stay close to its unobserved
+/// twin — observation must not switch the engine onto slower paths.
+const RATIO_GATES: [(&str, &str, f64); 1] = [(
+    "federation/single_period_500_nodes_metrics_only",
+    "federation/single_period_500_nodes",
+    2.0,
+)];
 
 /// The sweep-shaped bins the parallel runner accelerates.
 const SWEEP_BINS: [&str; 11] = [
@@ -164,13 +178,37 @@ fn check_against(path: &str) -> i32 {
             println!("note {}: not pinned yet (informational)", c.name);
         }
     }
+    let ns_of = |name: &str| {
+        current
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.ns_per_iter)
+    };
+    for (case, twin, bound) in RATIO_GATES {
+        match (ns_of(case), ns_of(twin)) {
+            (Some(ns), Some(twin_ns)) => {
+                let ratio = ns / twin_ns.max(1e-9);
+                if ratio > bound {
+                    println!("FAIL {case}: {ratio:.2}x its twin {twin} in this run (> {bound}x)");
+                    failures += 1;
+                } else {
+                    println!("ok   {case}: {ratio:.2}x its twin {twin} in this run");
+                }
+            }
+            _ => {
+                println!("FAIL {case}: ratio gate needs both {case} and {twin} in the suite");
+                failures += 1;
+            }
+        }
+    }
     if failures > 0 {
-        println!("\nperf check FAILED: {failures} case(s) regressed past {CHECK_TOLERANCE}x");
+        println!("\nperf check FAILED: {failures} case(s) regressed past their bound");
         1
     } else {
         println!(
-            "\nperf check passed: {} case(s) within tolerance",
-            pinned.len()
+            "\nperf check passed: {} pinned case(s) and {} ratio gate(s) within bounds",
+            pinned.len(),
+            RATIO_GATES.len()
         );
         0
     }

@@ -10,7 +10,8 @@
 //!   simulator arrival handling),
 //! * telemetry: the disabled-path overhead contract (an emit with no
 //!   sink installed must cost one `Option` branch — the closure never
-//!   runs) against the enabled path for contrast,
+//!   runs) against the enabled path for contrast, plus the 500-node
+//!   federation period under the metrics-only handle `qad` runs,
 //! * minidb: parse/plan/execute of a representative star query.
 //!
 //! A plain timing loop (the hermetic-build substitute for criterion):
@@ -33,6 +34,7 @@ use qa_sim::metrics::RunMetrics;
 use qa_sim::scenario::{Scenario, TwoClassParams};
 use qa_sim::sharded::{ShardPlan, ShardRunOptions};
 use qa_sim::BrokerTier;
+use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{EventQueue, SimTime};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -214,6 +216,25 @@ fn bench_federation_period(out: &mut Vec<MicroResult>) {
         )
         .run(&trace500)
     });
+    // Its twin carrying the metrics-only handle every `qad` runs: span
+    // timers on, event plane off, so every fast path stays on.
+    // `perf_baseline --check-against` holds it within a same-run ratio of
+    // the disabled case above.
+    let metrics = Telemetry::metrics_only();
+    bench_scaled(
+        out,
+        "federation/single_period_500_nodes_metrics_only",
+        PERIODS,
+        || {
+            Federation::with_telemetry(
+                black_box(&scenario500),
+                MechanismKind::QaNt,
+                black_box(&trace500),
+                metrics.clone(),
+            )
+            .run(&trace500)
+        },
+    );
 }
 
 fn bench_sharded(out: &mut Vec<MicroResult>) {
@@ -328,7 +349,7 @@ fn bench_allocation(out: &mut Vec<MicroResult>) {
 }
 
 fn bench_telemetry(out: &mut Vec<MicroResult>) {
-    use qa_simnet::telemetry::{CountingSink, PriceReason, Telemetry, TelemetryEvent};
+    use qa_simnet::telemetry::{CountingSink, PriceReason, TelemetryEvent};
 
     // The zero-cost contract: with no sink installed, an emit is one
     // `Option` branch and the event-building closure never runs. Compare
@@ -361,6 +382,10 @@ fn bench_telemetry(out: &mut Vec<MicroResult>) {
         });
     });
     bench(out, "telemetry/span_enabled", || enabled.span("bench.span"));
+    // The same span with its registry entry resolved once, as the
+    // simulator's span sites hold it.
+    let timer = enabled.span_timer("bench.span");
+    bench(out, "telemetry/span_timer_enabled", || timer.start());
 
     // The full pricer loop with telemetry attached to a counting sink —
     // the realistic "tracing a run" cost next to

@@ -47,4 +47,4 @@ pub use hier::{escalation_cap, mean_abs_delta_ln, ShardSignal};
 pub use markov::MarkovAllocator;
 pub use mechanism::MechanismKind;
 pub use messages::{Offer, Request};
-pub use qant::{QantConfig, QantNode};
+pub use qant::{QantConfig, QantNode, QantSpans};

@@ -30,9 +30,31 @@
 use qa_economics::{
     DensityOrderCache, NonTatonnementPricer, PriceVector, PricerConfig, QuantityVector,
 };
-use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{SpanTimer, Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, SimDuration};
 use qa_workload::ClassId;
+
+/// The span sites of a [`QantNode`], resolved against one telemetry
+/// handle: `span.qant.supply_solve_us` (the eq.-4 solve in
+/// `begin_period_with_budget`) and `span.qant.price_update_us`
+/// (`end_period`). A federation resolves them once and hands every node
+/// a clone, so building a large federation does no per-node registry
+/// lookups.
+#[derive(Debug, Clone)]
+pub struct QantSpans {
+    supply_solve: SpanTimer,
+    price_update: SpanTimer,
+}
+
+impl QantSpans {
+    /// Resolves both spans on `telemetry` (inert when disabled).
+    pub fn resolve(telemetry: &Telemetry) -> QantSpans {
+        QantSpans {
+            supply_solve: telemetry.span_timer("qant.supply_solve"),
+            price_update: telemetry.span_timer("qant.price_update"),
+        }
+    }
+}
 
 /// QA-NT tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +121,8 @@ pub struct QantNode {
     spare: Option<QuantityVector>,
     /// Market-event sink (disabled by default: one branch per emit site).
     telemetry: Telemetry,
+    /// Span timers, resolved by `set_telemetry`.
+    spans: QantSpans,
 }
 
 impl QantNode {
@@ -114,6 +138,7 @@ impl QantNode {
             order_cache: DensityOrderCache::new(),
             spare: None,
             telemetry: Telemetry::disabled(),
+            spans: QantSpans::resolve(&Telemetry::disabled()),
         }
     }
 
@@ -152,6 +177,7 @@ impl QantNode {
             order_cache: DensityOrderCache::new(),
             spare: None,
             telemetry: Telemetry::disabled(),
+            spans: QantSpans::resolve(&Telemetry::disabled()),
         }
     }
 
@@ -160,7 +186,15 @@ impl QantNode {
     /// the pricer's adjustments emit through it. Install *before* the
     /// first `begin_period` to capture the initial supply solve.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        let spans = QantSpans::resolve(&telemetry);
+        self.set_telemetry_with_spans(telemetry, &spans);
+    }
+
+    /// [`Self::set_telemetry`] with span timers already resolved on the
+    /// same handle (see [`QantSpans`]).
+    pub fn set_telemetry_with_spans(&mut self, telemetry: Telemetry, spans: &QantSpans) {
         self.pricer.set_telemetry(telemetry.clone());
+        self.spans = spans.clone();
         self.telemetry = telemetry;
     }
 
@@ -224,7 +258,7 @@ impl QantNode {
     ) {
         assert_eq!(unit_costs_ms.len(), self.num_classes());
         assert!(budget_ms.is_finite() && budget_ms >= 0.0);
-        let _span = self.telemetry.span("qant.supply_solve");
+        let _span = self.spans.supply_solve.start();
         self.unit_costs_ms.clear();
         self.unit_costs_ms.extend_from_slice(unit_costs_ms);
         let period_ms = budget_ms;
@@ -329,8 +363,8 @@ impl QantNode {
     /// refusals it has *proven* would each return `false` from
     /// `on_request` (supply exhausted, threshold bypass already off —
     /// prices are non-decreasing within a period, so a full refusal stays
-    /// a full refusal), and only while telemetry is disabled (the eager
-    /// path emits a `RequestRejected` event per refusal).
+    /// a full refusal), and only while no event sink is installed (the
+    /// eager path emits a `RequestRejected` event per refusal).
     pub fn on_rejections(&mut self, class: ClassId, count: u64) {
         let k = class.index();
         if count == 0 || self.unit_costs_ms.get(k).copied().flatten().is_none() {
@@ -347,8 +381,8 @@ impl QantNode {
     /// per-node price chains run interleaved (see
     /// [`NonTatonnementPricer::on_rejections_batch`]), which is what
     /// makes boundary replay of a period's refusal storm cheap. Nodes
-    /// that are absent, uncharged, incapable of the class, or currently
-    /// traced take the exact per-node path instead.
+    /// that are absent, uncharged, incapable of the class, or recording
+    /// events take the exact per-node path instead.
     pub fn apply_rejections_batch(nodes: &mut [Option<QantNode>], class: ClassId, counts: &[u64]) {
         assert_eq!(nodes.len(), counts.len());
         let k = class.index();
@@ -371,7 +405,7 @@ impl QantNode {
             if d == 0 || node.unit_costs_ms.get(k).copied().flatten().is_none() {
                 continue;
             }
-            if node.telemetry.is_enabled() {
+            if node.telemetry.records_events() {
                 node.pricer.on_rejections(k, d);
                 continue;
             }
@@ -406,7 +440,7 @@ impl QantNode {
     /// Steps 12–14: the period elapsed; leftover supply lowers prices.
     /// Call `begin_period` afterwards to start the next round.
     pub fn end_period(&mut self) {
-        let _span = self.telemetry.span("qant.price_update");
+        let _span = self.spans.price_update.start();
         let leftover = self
             .supply
             .take()

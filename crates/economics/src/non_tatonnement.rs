@@ -212,11 +212,12 @@ impl NonTatonnementPricer {
     /// Applies `count` consecutive [`NonTatonnementPricer::on_rejection`]s
     /// for class `k`. Bit-identical to calling `on_rejection` in a loop —
     /// the same stepwise `min(p·(1+λ), ceiling)` multiplications in the
-    /// same order — but while telemetry is disabled the intermediate
+    /// same order — but while no event sink is installed the intermediate
     /// prices are unobservable, so the sequence runs in a register with a
     /// single store at the end (and stops early at a fixed point: the
-    /// ceiling, where the remaining steps are no-ops). Enabled runs take
-    /// the slow path and still emit one `PriceAdjusted` per rejection.
+    /// ceiling, where the remaining steps are no-ops). Traced runs take
+    /// the slow path and still emit one `PriceAdjusted` per rejection; a
+    /// metrics-only handle keeps the fast path.
     ///
     /// Callers batch rejection storms: a client resubmission wave that
     /// was refused `count` times charges the price rise in one call
@@ -225,7 +226,7 @@ impl NonTatonnementPricer {
         if count == 0 {
             return;
         }
-        if self.telemetry.is_enabled() {
+        if self.telemetry.records_events() {
             for _ in 0..count {
                 self.on_rejection(k);
             }
@@ -259,8 +260,8 @@ impl NonTatonnementPricer {
     /// (a bit-exact identity for finite values) until the widest lane in
     /// the chunk finishes; a lane saturated at the ceiling keeps taking
     /// `min(ceiling·(1+λ), ceiling) = ceiling`. Callers must only use
-    /// this while telemetry is disabled on every pricer (the eager path
-    /// emits one `PriceAdjusted` per rejection).
+    /// this while no pricer records events (the eager path emits one
+    /// `PriceAdjusted` per rejection).
     pub fn on_rejections_batch(
         pricers: &mut [&mut NonTatonnementPricer],
         k: usize,

@@ -132,7 +132,7 @@ impl ConnState {
     }
 
     fn emit(&self, build: impl FnOnce() -> TelemetryEvent) {
-        if self.telemetry.is_enabled() {
+        if self.telemetry.records_events() {
             self.telemetry.set_now_us(self.now_us());
         }
         self.telemetry.emit(build);
@@ -216,7 +216,7 @@ impl Connection {
                 if let Some(reg) = telemetry.registry() {
                     reg.counter("net.dial_retries").incr();
                 }
-                if telemetry.is_enabled() {
+                if telemetry.records_events() {
                     telemetry.set_now_us(cfg.epoch.elapsed().as_micros() as u64);
                 }
                 telemetry.emit(|| TelemetryEvent::ConnectRetried {
@@ -544,15 +544,17 @@ fn writer_loop(
 ) {
     let mut nonce = 0u64;
     // Encode-then-write (instead of `send_msg`) so the counters see the
-    // framed wire size.
+    // framed wire size. The frame is counted before the write: once it is
+    // on the wire the peer may answer, and the answer be read, before a
+    // count taken after `write_frame` returns. A failed write marks the
+    // connection dead, so over-counting its last frame is harmless.
     let put = |mut stream: &mut dyn Write, msg: &WireMsg| -> Result<(), NetError> {
         let payload = msg.encode();
-        write_frame(&mut stream, &payload)?;
         if let Some(c) = &state.counters {
             c.frames_sent.incr();
             c.bytes_sent.add(payload.len() as u64 + 4);
         }
-        Ok(())
+        write_frame(&mut stream, &payload)
     };
     loop {
         match out_rx.recv_timeout(heartbeat) {

@@ -34,7 +34,7 @@ use qa_core::messages::{OFFER_BYTES, REQUEST_BYTES, RESPONSE_BYTES};
 use qa_core::{
     BnqrdCoordinator, MarkovAllocator, MechanismKind, RoundRobinState, TwoProbesChooser,
 };
-use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{SpanAccumulator, SpanTimer, Telemetry, TelemetryEvent};
 use qa_simnet::{par_for_each_chunk_mut, DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
 
@@ -188,14 +188,23 @@ pub struct Federation<'a> {
     /// Structured event sink; disabled by default (one branch per emit
     /// site). The run loop stamps sim-time on its shared clock, so trace
     /// timestamps are exactly as deterministic as the simulation itself.
+    /// Only its event plane ([`Telemetry::records_events`]) switches the
+    /// run onto the eager per-rejection paths; a metrics-only handle
+    /// keeps every fast path.
     telemetry: Telemetry,
+    /// `span.federation.period_update_us`, resolved at construction.
+    period_span: SpanTimer,
+    /// `span.federation.allocate_us`: timed into an engine-owned
+    /// accumulator (about a million calls per run) and flushed into the
+    /// registry at every period boundary and in `finish`.
+    allocate_span: SpanAccumulator,
     /// Scratch buffers reused across `allocate` calls so the per-query hot
     /// path stops allocating once they reach steady-state capacity.
     scratch_capable: Vec<NodeId>,
     scratch_reachable: Vec<NodeId>,
     /// QA-NT refusal memo, one flag per class: set when a request saw a
     /// full refusal this period under stable conditions (no faults, no
-    /// dead nodes, telemetry off). Prices are non-decreasing and supply
+    /// dead nodes, event plane off). Prices are non-decreasing and supply
     /// non-increasing within a period, so a fully-refused class stays
     /// fully refused until the next period boundary — later requests
     /// short-circuit to `NoOffers` and only count a deferred rejection.
@@ -206,7 +215,7 @@ pub struct Federation<'a> {
     /// stepwise price rises) before the period-end price update.
     deferred_rejections: Vec<u64>,
     /// Pure-market rejection deferral (set once per run): with no §5.1
-    /// threshold, telemetry off and no fault schedule, a within-period
+    /// threshold, event plane off and no fault schedule, a within-period
     /// price rise is unobservable — `on_request` answers from supply
     /// alone — so per-poll rejections can be counted here and replayed
     /// stepwise at the period boundary instead of calling into the
@@ -251,11 +260,12 @@ impl<'a> Federation<'a> {
         let state = match mechanism {
             MechanismKind::QaNt => {
                 let mut price_rng = DetRng::seed_from_u64(cfg.seed).derive("qant-prices");
+                let spans = qa_core::QantSpans::resolve(&telemetry);
                 MechState::QaNt {
                     nodes: (0..cfg.num_nodes)
                         .map(|i| {
                             let mut n = qa_core::QantNode::with_jitter(k, cfg.qant, &mut price_rng);
-                            n.set_telemetry(telemetry.with_label(i as u32));
+                            n.set_telemetry_with_spans(telemetry.with_label(i as u32), &spans);
                             n.begin_period(&scenario.exec_times_ms[i], None);
                             Some(n)
                         })
@@ -307,6 +317,8 @@ impl<'a> Federation<'a> {
             recoveries: Vec::new(),
             faults: FaultPlan::none(),
             fault_rng: DetRng::seed_from_u64(cfg.seed ^ mechanism_salt(mechanism) ^ FAULT_SALT),
+            period_span: telemetry.span_timer("federation.period_update"),
+            allocate_span: SpanAccumulator::new(&telemetry, "federation.allocate"),
             telemetry,
             scratch_capable: Vec::new(),
             scratch_reachable: Vec::new(),
@@ -426,7 +438,7 @@ impl<'a> Federation<'a> {
             && self.recoveries.is_empty()
             && self.faults.is_none()
             && self.scenario.config.qant.price_threshold.is_none()
-            && !self.telemetry.is_enabled();
+            && !self.telemetry.records_events();
         if let MechState::QaNt { nodes, avail } = &mut self.state {
             sync_avail(nodes, avail);
         }
@@ -482,6 +494,7 @@ impl<'a> Federation<'a> {
         // its deferred refusals so post-run market state matches an eager
         // run.
         self.flush_deferred_rejections();
+        self.allocate_span.flush();
         RunOutcome {
             mechanism: self.mechanism,
             metrics: self.metrics,
@@ -551,7 +564,8 @@ impl<'a> Federation<'a> {
                 self.telemetry.emit(|| TelemetryEvent::PeriodStarted {
                     index: now.period_index(cfg_period),
                 });
-                let _span = self.telemetry.span("federation.period_update");
+                let _span = self.period_span.start();
+                self.allocate_span.flush();
                 // Deferred refusals belong to the closing period:
                 // charge them before its price update, then re-arm
                 // the memo for the fresh supply.
@@ -595,15 +609,16 @@ impl<'a> Federation<'a> {
                         // they fan over scoped workers; results are
                         // identical at any thread count — the split
                         // only decides which worker solves which node.
-                        // Telemetry emission order is part of the
+                        // Event emission order is part of the
                         // byte-deterministic contract, so the parallel
-                        // path only engages when tracing is off.
-                        let threads =
-                            if self.telemetry.is_enabled() || nodes.len() < INTRA_PAR_MIN_NODES {
-                                1
-                            } else {
-                                self.intra_threads
-                            };
+                        // path only engages when the event plane is off.
+                        let threads = if self.telemetry.records_events()
+                            || nodes.len() < INTRA_PAR_MIN_NODES
+                        {
+                            1
+                        } else {
+                            self.intra_threads
+                        };
                         let exec_times = &self.scenario.exec_times_ms;
                         par_for_each_chunk_mut(threads, nodes, |offset, chunk| {
                             for (j, slot) in chunk.iter_mut().enumerate() {
@@ -827,9 +842,23 @@ impl<'a> Federation<'a> {
         }
     }
 
-    /// Runs the allocation protocol for one query at `now`.
+    /// Runs the allocation protocol for one query at `now`, timed into
+    /// `span.federation.allocate_us`.
     fn allocate(&mut self, now: SimTime, class: ClassId, origin: NodeId, idx: usize) -> Allocation {
-        let _span = self.telemetry.span("federation.allocate");
+        let started = self.allocate_span.start();
+        let allocation = self.negotiate(now, class, origin, idx);
+        self.allocate_span.stop(started);
+        allocation
+    }
+
+    /// The untimed body of [`Federation::allocate`].
+    fn negotiate(
+        &mut self,
+        now: SimTime,
+        class: ClassId,
+        origin: NodeId,
+        idx: usize,
+    ) -> Allocation {
         // Refusal memo hit: this class was fully refused earlier this
         // period under conditions that cannot improve before the next
         // boundary. Charge the same messages and defer the per-node price
@@ -970,8 +999,8 @@ impl<'a> Federation<'a> {
                         self.deferred_dirty[class.index()] = true;
                     }
                 } else if reachable.len() == n_total {
-                    // Eager market round-trips (telemetry, §5.1 threshold
-                    // or faults active), full candidate set.
+                    // Eager market round-trips (event plane, §5.1
+                    // threshold or faults active), full candidate set.
                     let backlog = soa.backlog_until_slice();
                     for (i, ((market, &a), (&b, &exec))) in nodes
                         .iter_mut()
@@ -1022,9 +1051,10 @@ impl<'a> Federation<'a> {
                         // (so every node's threshold bypass stays off),
                         // and the reachable set cannot change without a
                         // kill/recover event (which clears the memo).
-                        // Telemetry must be off — the eager path emits
-                        // per-request rejection events.
-                        if !faults_on && self.nodes.all_alive() && !self.telemetry.is_enabled() {
+                        // The event plane must be off — the eager path
+                        // emits per-request rejection events.
+                        if !faults_on && self.nodes.all_alive() && !self.telemetry.records_events()
+                        {
                             self.refused_classes[class.index()] = true;
                         }
                         return Allocation::NoOffers;

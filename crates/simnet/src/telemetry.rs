@@ -8,11 +8,14 @@
 //!
 //! * [`TelemetryEvent`] — the typed market-event taxonomy (price
 //!   adjustments, supply solves, rejections, assignments, faults),
-//! * [`Telemetry`] — a cloneable handle that is **zero-cost when
-//!   disabled**: every emit site compiles to one branch on an
-//!   `Option<Arc<_>>`, and event construction is deferred behind a
-//!   closure so no formatting or allocation happens unless a sink is
-//!   installed,
+//! * [`Telemetry`] — a cloneable handle over two planes. The **metrics
+//!   plane** (a registry plus span timers) is always cheap; the **event
+//!   plane** (a sink of [`TraceRecord`]s) is opt-in. Every emit site
+//!   compiles to a branch on whether a sink exists, and event
+//!   construction is deferred behind a closure, so no formatting or
+//!   allocation happens unless one is installed — a
+//!   [`Telemetry::metrics_only`] handle pays no more per emit than a
+//!   disabled one,
 //! * [`EventSink`] / [`TraceBuffer`] / [`WriterSink`] /
 //!   [`CountingSink`] — pluggable destinations (in-memory for tests and
 //!   `trace_dump`, JSONL writers for files/stderr, a counter for
@@ -21,9 +24,12 @@
 //!   and log-bucket [`HistogramHandle`]s with a deterministic JSON
 //!   snapshot; snapshots from different processes merge exactly, which
 //!   is what the fleet stats scrape (`qa-ctl stats`) builds on,
-//! * [`Span`] — wall-clock timing guards around hot paths (supply
-//!   solve, assignment round, price update) that record into the
-//!   registry, *not* the event stream, so traces stay byte-deterministic,
+//! * [`Span`] / [`SpanTimer`] / [`SpanAccumulator`] — wall-clock timing
+//!   around hot paths (supply solve, assignment round, price update) that
+//!   records into the registry, *not* the event stream, so traces stay
+//!   byte-deterministic. Hot sites resolve their registry entry once
+//!   ([`Telemetry::span_timer`]), so a timed call allocates nothing and
+//!   never takes the registry lock,
 //! * [`ConvergenceReport`] — per-class cross-node price-variance series
 //!   and time-to-stabilization computed from a trace.
 //!
@@ -863,6 +869,15 @@ struct RegistryInner {
     histograms: BTreeMap<String, HistogramHandle>,
 }
 
+/// The handle named `name`, created on first use. Looking up an existing
+/// name allocates nothing: only a new entry pays for its owned key.
+fn get_or_create<T: Clone + Default>(map: &mut BTreeMap<String, T>, name: &str) -> T {
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
 /// Registry of named metrics. Cloning shares the underlying store;
 /// `BTreeMap` keys make [`MetricsRegistry::snapshot`] order-deterministic.
 #[derive(Clone, Default)]
@@ -878,30 +893,22 @@ impl MetricsRegistry {
 
     /// Gets or creates the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().unwrap();
-        inner.counters.entry(name.to_string()).or_default().clone()
+        get_or_create(&mut self.inner.lock().unwrap().counters, name)
     }
 
     /// Gets or creates the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().unwrap();
-        inner.gauges.entry(name.to_string()).or_default().clone()
+        get_or_create(&mut self.inner.lock().unwrap().gauges, name)
     }
 
     /// Gets or creates the Welford accumulator named `name`.
     pub fn welford(&self, name: &str) -> WelfordHandle {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stats.entry(name.to_string()).or_default().clone()
+        get_or_create(&mut self.inner.lock().unwrap().stats, name)
     }
 
     /// Gets or creates the log-bucket histogram named `name`.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_create(&mut self.inner.lock().unwrap().histograms, name)
     }
 
     /// JSON snapshot:
@@ -1019,13 +1026,25 @@ impl fmt::Debug for MetricsRegistry {
 
 struct TelemetryInner {
     now_us: AtomicU64,
-    sink: Mutex<Box<dyn EventSink>>,
+    /// The event plane: `None` on a [`Telemetry::metrics_only`] handle.
+    sink: Option<Mutex<Box<dyn EventSink>>>,
+    /// The metrics plane, present on every live handle.
     registry: MetricsRegistry,
 }
 
-/// Cloneable telemetry handle. A disabled handle (the default) carries a
-/// `None` and every [`Telemetry::emit`] / [`Telemetry::span`] call is a
-/// single branch; clones share the sink, clock and registry.
+/// Cloneable telemetry handle over two planes:
+///
+/// * the **metrics plane** — a [`MetricsRegistry`] plus span timers,
+///   present on every live handle and cheap enough to leave on;
+/// * the **event plane** — an opt-in [`EventSink`]. Only this plane
+///   builds [`TraceRecord`]s or takes the sink mutex.
+///
+/// A disabled handle (the default) carries a `None`, and every
+/// [`Telemetry::emit`] / [`Telemetry::span`] call is a single branch.
+/// Clones share the sink, clock and registry. Code that must take an
+/// eager path so that every event is emitted asks
+/// [`Telemetry::records_events`], never [`Telemetry::is_enabled`]: a
+/// metrics-only handle has nothing to emit to.
 ///
 /// `label` is the node id stamped on market events emitted *by* that
 /// node's pricer/market state; derive per-node handles with
@@ -1042,17 +1061,15 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// A handle with a live [`MetricsRegistry`] but no event stream:
-    /// every emitted record is discarded at the sink. This is what `qad`
-    /// runs by default — the stats scrape and `/metrics` endpoint always
-    /// have a registry to answer from, without paying for (or leaking)
-    /// JSONL traces nobody asked for.
+    /// A handle with a live [`MetricsRegistry`] and no event plane:
+    /// [`Telemetry::emit`] never builds a record, and
+    /// [`Telemetry::records_events`] is `false`, so every simulator fast
+    /// path stays on. This is what `qad` runs by default — the stats
+    /// scrape and `/metrics` endpoint always have a registry to answer
+    /// from, without paying for (or leaking) JSONL traces nobody asked
+    /// for.
     pub fn metrics_only() -> Telemetry {
-        struct NullSink;
-        impl EventSink for NullSink {
-            fn record(&mut self, _record: &TraceRecord) {}
-        }
-        Telemetry::with_sink(Box::new(NullSink))
+        Telemetry::with_planes(None)
     }
 
     /// A handle writing into an in-memory buffer; returns the buffer too.
@@ -1066,10 +1083,14 @@ impl Telemetry {
 
     /// A handle driving an arbitrary sink.
     pub fn with_sink(sink: Box<dyn EventSink>) -> Telemetry {
+        Telemetry::with_planes(Some(sink))
+    }
+
+    fn with_planes(sink: Option<Box<dyn EventSink>>) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(TelemetryInner {
                 now_us: AtomicU64::new(0),
-                sink: Mutex::new(sink),
+                sink: sink.map(Mutex::new),
                 registry: MetricsRegistry::new(),
             })),
             label: 0,
@@ -1097,10 +1118,24 @@ impl Telemetry {
         Ok(Telemetry::with_sink(Box::new(WriterSink::new(file))))
     }
 
-    /// `true` iff a sink is installed.
+    /// `true` iff the handle is live: it has a metrics plane, with or
+    /// without an event plane.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// `true` iff an event sink is installed — the only condition under
+    /// which [`Telemetry::emit`] builds a record, and so the only one
+    /// that may switch a caller onto a per-event eager path.
+    #[inline]
+    pub fn records_events(&self) -> bool {
+        self.sink().is_some()
+    }
+
+    #[inline]
+    fn sink(&self) -> Option<&Mutex<Box<dyn EventSink>>> {
+        self.inner.as_ref().and_then(|inner| inner.sink.as_ref())
     }
 
     /// The node label stamped by this handle.
@@ -1123,14 +1158,18 @@ impl Telemetry {
     /// below the current value is ignored (`fetch_max`), so concurrent
     /// wall-clock stampers racing between `elapsed()` and the store can
     /// never make trace timestamps regress — which `check_trace` rejects.
+    /// The clock only stamps records, so without an event plane this is
+    /// a no-op.
     #[inline]
     pub fn set_now_us(&self, t_us: u64) {
         if let Some(inner) = &self.inner {
-            inner.now_us.fetch_max(t_us, Ordering::Relaxed);
+            if inner.sink.is_some() {
+                inner.now_us.fetch_max(t_us, Ordering::Relaxed);
+            }
         }
     }
 
-    /// The current event clock (0 when disabled).
+    /// The current event clock (0 without an event plane).
     #[inline]
     pub fn now_us(&self) -> u64 {
         match &self.inner {
@@ -1140,21 +1179,21 @@ impl Telemetry {
     }
 
     /// Emits one event. The closure only runs when a sink is installed,
-    /// so a disabled handle pays exactly one branch — no allocation, no
-    /// formatting.
+    /// so a disabled or metrics-only handle pays one branch — no
+    /// allocation, no formatting, no lock.
     #[inline]
     pub fn emit(&self, build: impl FnOnce() -> TelemetryEvent) {
-        if let Some(inner) = &self.inner {
+        if let Some(sink) = self.sink() {
             let record = TraceRecord {
-                t_us: inner.now_us.load(Ordering::Relaxed),
+                t_us: self.now_us(),
                 event: build(),
             };
-            inner.sink.lock().unwrap().record(&record);
+            sink.lock().unwrap().record(&record);
         }
     }
 
-    /// Severity-tagged diagnostic; the message closure only runs when
-    /// enabled (no `format!` cost otherwise).
+    /// Severity-tagged diagnostic; the message closure only runs when a
+    /// sink is installed (no `format!` cost otherwise).
     #[inline]
     pub fn diag(&self, severity: Severity, component: &str, message: impl FnOnce() -> String) {
         self.emit(|| TelemetryEvent::Diag {
@@ -1169,19 +1208,31 @@ impl Telemetry {
         self.inner.as_ref().map(|i| &i.registry)
     }
 
+    /// Resolves the registry Welford named `span.{name}_us` once, for a
+    /// site that times many calls: each [`SpanTimer::start`] then costs
+    /// two clock reads and one uncontended lock, with no key formatting,
+    /// allocation or registry lookup. Inert on a disabled handle.
+    pub fn span_timer(&self, name: &'static str) -> SpanTimer {
+        SpanTimer {
+            stat: self
+                .registry()
+                .map(|r| r.welford(&format!("span.{name}_us"))),
+            name,
+        }
+    }
+
     /// Starts a wall-clock timing span. On drop the elapsed microseconds
     /// are recorded into the registry Welford named `span.{name}_us` —
     /// *not* the event stream, which keeps traces byte-deterministic.
     /// Disabled handles return an inert guard without reading the clock.
+    /// Each call looks the name up afresh; hot sites pre-resolve it with
+    /// [`Telemetry::span_timer`].
     #[inline]
     pub fn span(&self, name: &'static str) -> Span {
-        Span {
-            state: self
-                .inner
-                .as_ref()
-                .map(|inner| (Arc::clone(inner), Instant::now())),
-            name,
+        if self.inner.is_none() {
+            return Span { state: None, name };
         }
+        self.span_timer(name).start()
     }
 }
 
@@ -1189,25 +1240,51 @@ impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
             .field("enabled", &self.is_enabled())
+            .field("records_events", &self.records_events())
             .field("label", &self.label)
             .finish()
     }
 }
 
-/// Timing guard returned by [`Telemetry::span`].
+/// A span site with its registry entry resolved once (see
+/// [`Telemetry::span_timer`]). Cloning shares the entry.
+#[derive(Clone)]
+pub struct SpanTimer {
+    stat: Option<WelfordHandle>,
+    name: &'static str,
+}
+
+impl SpanTimer {
+    /// Starts one timed call; the guard records on drop. An inert timer
+    /// returns an inert guard without reading the clock.
+    #[inline]
+    pub fn start(&self) -> Span {
+        Span {
+            state: self.stat.clone().map(|stat| (stat, Instant::now())),
+            name: self.name,
+        }
+    }
+}
+
+impl fmt::Debug for SpanTimer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpanTimer")
+            .field("name", &self.name)
+            .field("enabled", &self.stat.is_some())
+            .finish()
+    }
+}
+
+/// Timing guard returned by [`Telemetry::span`] and [`SpanTimer::start`].
 pub struct Span {
-    state: Option<(Arc<TelemetryInner>, Instant)>,
+    state: Option<(WelfordHandle, Instant)>,
     name: &'static str,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((inner, start)) = self.state.take() {
-            let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
-            inner
-                .registry
-                .welford(&format!("span.{}_us", self.name))
-                .observe(elapsed_us);
+        if let Some((stat, start)) = self.state.take() {
+            stat.observe(start.elapsed().as_secs_f64() * 1e6);
         }
     }
 }
@@ -1218,6 +1295,50 @@ impl fmt::Debug for Span {
             .field("name", &self.name)
             .field("enabled", &self.state.is_some())
             .finish()
+    }
+}
+
+/// An owner-local span accumulator for a site too hot for even one lock
+/// per call (the simulator's per-query allocation). Timed calls add into
+/// a private [`Welford`]; [`SpanAccumulator::flush`] merges it into the
+/// registry's `span.{name}_us`, so counts stay exact and the registry
+/// lags by at most one flush interval.
+#[derive(Debug)]
+pub struct SpanAccumulator {
+    timer: SpanTimer,
+    local: Welford,
+}
+
+impl SpanAccumulator {
+    /// Resolves `span.{name}_us` on `telemetry` (inert when disabled).
+    pub fn new(telemetry: &Telemetry, name: &'static str) -> SpanAccumulator {
+        SpanAccumulator {
+            timer: telemetry.span_timer(name),
+            local: Welford::new(),
+        }
+    }
+
+    /// Starts one timed call: `None` (no clock read) when inert.
+    #[inline]
+    pub fn start(&self) -> Option<Instant> {
+        self.timer.stat.as_ref().map(|_| Instant::now())
+    }
+
+    /// Ends the call begun by [`SpanAccumulator::start`].
+    #[inline]
+    pub fn stop(&mut self, started: Option<Instant>) {
+        if let Some(start) = started {
+            self.local.add(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+
+    /// Merges the calls timed since the last flush into the registry.
+    pub fn flush(&mut self) {
+        if let Some(stat) = &self.timer.stat {
+            if self.local.count() > 0 {
+                stat.merge(&std::mem::take(&mut self.local));
+            }
+        }
     }
 }
 
@@ -1744,12 +1865,72 @@ mod tests {
 
     #[test]
     fn metrics_only_has_registry_but_silent_event_stream() {
+        // A live metrics plane with no event plane: no sink, so nothing is
+        // built, stamped or recorded, and no caller is pushed off a fast
+        // path by it.
         let tel = Telemetry::metrics_only();
         assert!(tel.is_enabled());
+        assert!(!tel.records_events());
         tel.emit(|| TelemetryEvent::PeriodStarted { index: 0 });
+        tel.set_now_us(5_000);
+        assert_eq!(tel.now_us(), 0, "the event clock only stamps records");
         let reg = tel.registry().expect("metrics-only handle has a registry");
         reg.counter("x").incr();
         assert_eq!(reg.counter("x").get(), 1);
+    }
+
+    #[test]
+    fn metrics_only_never_runs_an_emit_closure() {
+        let tel = Telemetry::metrics_only().with_label(7);
+        tel.emit(|| panic!("a metrics-only handle must not build events"));
+        tel.diag(Severity::Error, "x", || {
+            panic!("a metrics-only handle must not build messages")
+        });
+    }
+
+    #[test]
+    fn records_events_tracks_the_event_plane() {
+        assert!(!Telemetry::disabled().records_events());
+        assert!(!Telemetry::metrics_only().records_events());
+        let (tel, _buf) = Telemetry::buffered();
+        assert!(tel.records_events());
+        assert!(tel.with_label(3).records_events());
+        assert!(Telemetry::with_sink(Box::new(CountingSink::new())).records_events());
+    }
+
+    #[test]
+    fn pre_resolved_span_records_exact_count() {
+        let tel = Telemetry::metrics_only();
+        let timer = tel.span_timer("solve");
+        for _ in 0..37 {
+            let _span = timer.start();
+        }
+        // A clone shares the resolved entry, and the ad-hoc path lands in
+        // the same family.
+        drop(timer.clone().start());
+        drop(tel.span("solve"));
+        let stat = tel.registry().unwrap().welford("span.solve_us").snapshot();
+        assert_eq!(stat.count(), 39);
+        assert!(stat.min().unwrap() >= 0.0);
+
+        let mut acc = SpanAccumulator::new(&tel, "allocate");
+        for _ in 0..1_000 {
+            let started = acc.start();
+            acc.stop(started);
+        }
+        let reg = tel.registry().unwrap();
+        assert_eq!(reg.welford("span.allocate_us").snapshot().count(), 0);
+        acc.flush();
+        acc.flush(); // nothing new: a no-op
+        assert_eq!(reg.welford("span.allocate_us").snapshot().count(), 1_000);
+
+        // Disabled handles resolve inert timers that never read the clock.
+        let off = Telemetry::disabled();
+        let _span = off.span_timer("solve").start();
+        let mut acc = SpanAccumulator::new(&off, "allocate");
+        assert!(acc.start().is_none());
+        acc.stop(None);
+        acc.flush();
     }
 
     #[test]

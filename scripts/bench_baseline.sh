@@ -4,7 +4,9 @@
 # full thread budget) plus the micro-bench suite and writes
 # bench_results/perf_baseline.json. With a pinned reference committed at
 # bench_results/pinned/perf_baseline.json, `--check` diffs the current
-# micro suite against it and fails on any >3x regression.
+# micro suite against it and fails on any >3x regression, or when the
+# metrics-only 500-node federation case runs slower than 2x its
+# unobserved twin in the same run.
 #
 # Usage:
 #   scripts/bench_baseline.sh            # honours QA_SCALE / QA_BENCH_SECONDS

@@ -52,27 +52,106 @@ fn trace_dump_lines_are_canonical_jsonl() {
     }
 }
 
+/// The three observation levels: no handle, the metrics plane alone
+/// (what `qad` runs), and the metrics plane plus an event sink.
+fn observation_levels() -> Vec<(&'static str, qa_simnet::telemetry::Telemetry)> {
+    use qa_simnet::telemetry::Telemetry;
+    vec![
+        ("disabled", Telemetry::disabled()),
+        ("metrics_only", Telemetry::metrics_only()),
+        ("buffered", Telemetry::buffered().0),
+    ]
+}
+
 #[test]
 fn observation_does_not_perturb_the_simulation() {
     use qa_core::MechanismKind;
     use qa_sim::federation::Federation;
     use qa_sim::scenario::{Scenario, TwoClassParams};
-    use qa_sim::SimConfig;
-    use qa_simnet::telemetry::Telemetry;
+    use qa_sim::{BrokerConfig, ShardPlan, ShardRunOptions, SimConfig};
 
-    let scenario = Scenario::two_class(SimConfig::small_test(5), TwoClassParams::default());
-    let trace = qa_sim::experiments::two_class_trace(&scenario, 0.05, 0.8, 10);
-    let silent = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
-    let (telemetry, _buffer) = Telemetry::buffered();
-    let observed =
-        Federation::with_telemetry(&scenario, MechanismKind::QaNt, &trace, telemetry).run(&trace);
-    assert_eq!(silent.metrics.completed, observed.metrics.completed);
-    assert_eq!(silent.metrics.unserved, observed.metrics.unserved);
-    assert_eq!(silent.metrics.messages, observed.metrics.messages);
-    assert_eq!(
-        silent.metrics.mean_response_ms(),
-        observed.metrics.mean_response_ms()
-    );
+    // A small world under light load, and a 96-node one at 1.5x capacity:
+    // past the 64-node parallel-solve threshold and refusing enough that
+    // the refusal memo and rejection deferral do real work.
+    let cells = [
+        ("small", SimConfig::small_test(5), 0.8, 10),
+        ("overloaded", SimConfig::scaled(96, 7), 1.5, 6),
+    ];
+    for (cell, cfg, load, secs) in cells {
+        let scenario = Scenario::two_class(cfg, TwoClassParams::default());
+        let trace = qa_sim::experiments::two_class_trace(&scenario, 0.05, load, secs);
+        let plan = ShardPlan::build(&scenario, 4);
+        // The full timing-free outcome of each engine, as bytes.
+        let outcomes = |telemetry: &qa_simnet::telemetry::Telemetry| {
+            let mut fed = Federation::with_telemetry(
+                &scenario,
+                MechanismKind::QaNt,
+                &trace,
+                telemetry.clone(),
+            );
+            fed.set_intra_threads(2);
+            let flat = fed.run(&trace);
+            let sharded = |broker: Option<BrokerConfig>| {
+                let options = ShardRunOptions {
+                    budget: 2,
+                    broker,
+                    telemetry: telemetry.clone(),
+                    ..ShardRunOptions::default()
+                };
+                format!("{:?}", plan.run_with_options(&trace, &options))
+            };
+            (
+                flat.metrics.retries,
+                [
+                    format!("{flat:?}"),
+                    sharded(None),
+                    sharded(Some(BrokerConfig::qant())),
+                ],
+            )
+        };
+        let (retries, silent) = outcomes(&qa_simnet::telemetry::Telemetry::disabled());
+        if cell == "overloaded" {
+            assert!(retries > 0, "the overloaded cell must refuse requests");
+        }
+        for (level, telemetry) in observation_levels() {
+            let (_, observed) = outcomes(&telemetry);
+            for (engine, (a, b)) in ["flat", "S=4", "S=4 broker"]
+                .iter()
+                .zip(silent.iter().zip(&observed))
+            {
+                assert!(a == b, "{cell}/{engine}: a {level} run changed the outcome");
+            }
+        }
+    }
+}
+
+#[test]
+fn federation_flushes_its_allocate_span_into_the_registry() {
+    use qa_core::MechanismKind;
+    use qa_sim::federation::Federation;
+    use qa_sim::scenario::{Scenario, TwoClassParams};
+    use qa_sim::SimConfig;
+
+    let scenario = Scenario::two_class(SimConfig::scaled(80, 3), TwoClassParams::default());
+    let trace = qa_sim::experiments::two_class_trace(&scenario, 0.05, 1.5, 4);
+    for (level, telemetry) in observation_levels().into_iter().skip(1) {
+        let out =
+            Federation::with_telemetry(&scenario, MechanismKind::QaNt, &trace, telemetry.clone())
+                .run(&trace);
+        // One allocation per arrival plus one per resubmission.
+        let allocations = trace.len() as u64 + out.metrics.retries;
+        assert!(out.metrics.retries > 0);
+        let registry = telemetry.registry().unwrap();
+        let count = |name: &str| registry.welford(name).snapshot().count();
+        assert_eq!(
+            count("span.federation.allocate_us"),
+            allocations,
+            "{level}: the engine-local allocate accumulator must be flushed"
+        );
+        assert!(count("span.federation.period_update_us") > 0);
+        assert!(count("span.qant.supply_solve_us") >= 80);
+        assert!(count("span.qant.price_update_us") > 0);
+    }
 }
 
 #[test]
